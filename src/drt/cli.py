@@ -7,9 +7,9 @@ Report-emitting subcommands print a single JSON object to stdout:
 `inputs` maps each input path to its sha256; `results` is deterministic given
 the same inputs and seed (wall_time_ms is the one field outside that
 contract).  `--pretty` renders the same payload as aligned text.  Exit codes:
-0 all checks pass, 1 a verdict failed or a violation was found, 2 usage or
-parse errors.  DRT_THREADS caps the worker count of the sampling paths; it
-never changes any output.
+0 all checks pass, 1 a verdict failed or a violation was found, 2 usage,
+parse, input or I/O errors.  Every run is single-threaded; DRT_THREADS is
+ignored and never changes any output.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
-from typing import NoReturn
 
 from . import __version__
 from .diffset import (
@@ -62,48 +60,24 @@ PIPELINE_RANK_CAP = 20
 PIPELINE_SAMPLES = 20_000
 
 
-def _usage_fail(message: str) -> NoReturn:
-    print(f"drt: error: {message}", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("DRT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        _usage_fail(f"DRT_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        _usage_fail(f"DRT_THREADS must be >= 1, got {value}")
-    return value
-
-
 def _read_text(path: str, inputs: dict[str, str]) -> str:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as e:
-        _usage_fail(str(e))
+    data = Path(path).read_bytes()
     inputs[path] = hashlib.sha256(data).hexdigest()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError:
-        _usage_fail(f"{path}: not valid UTF-8 text")
+    return data.decode("utf-8")  # a UnicodeDecodeError is a ValueError
 
 
 def _load_diffset(path: str, inputs: dict[str, str]) -> CandidateSet:
     try:
         return parse_diffset(_read_text(path, inputs))
     except ValueError as e:
-        _usage_fail(f"{path}: {e}")
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _load_tournament(path: str, inputs: dict[str, str]) -> Tournament:
     try:
         return parse_tournament(_read_text(path, inputs))
     except ValueError as e:
-        _usage_fail(f"{path}: {e}")
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -186,11 +160,7 @@ def _mixing_dict(t: Tournament, report) -> dict:
 
 
 def cmd_diffset_paley(args) -> int:
-    try:
-        field = make_field(args.p, args.k)
-        d = paley_set(field)
-    except ValueError as e:
-        _usage_fail(str(e))
+    d = paley_set(make_field(args.p, args.k))
     _write_output(format_diffset(d), args.output)
     return 0
 
@@ -217,11 +187,8 @@ def cmd_diffset_classify(args) -> int:
     sets = [_load_diffset(path, inputs) for path in args.files]
     groups = {format_group_spec(d.group.moduli) for d in sets}
     if len(groups) > 1:
-        _usage_fail(f"all sets must share one group, got {sorted(groups)}")
-    try:
-        classes = classify(sets, budget=args.budget)
-    except ValueError as e:
-        _usage_fail(str(e))
+        raise ValueError(f"all sets must share one group, got {sorted(groups)}")
+    classes = classify(sets, budget=args.budget)
     results = {
         "files": list(args.files),
         "class_count": len(classes),
@@ -250,10 +217,7 @@ def cmd_tourney_verify(args) -> int:
     started = time.perf_counter()
     inputs: dict[str, str] = {}
     t = _load_tournament(args.file, inputs)
-    try:
-        dr = is_doubly_regular(t)
-    except ValueError as e:
-        _usage_fail(str(e))
+    dr = is_doubly_regular(t)
     gram = verify_gram_identities(t)
     results = {
         "n": t.n,
@@ -265,10 +229,7 @@ def cmd_tourney_verify(args) -> int:
 
 
 def cmd_tourney_random(args) -> int:
-    try:
-        t = random_tournament(args.n, args.seed)
-    except ValueError as e:
-        _usage_fail(str(e))
+    t = random_tournament(args.n, args.seed)
     _write_output(format_tournament(t), args.output)
     return 0
 
@@ -280,10 +241,7 @@ def cmd_rank_exact(args) -> int:
     started = time.perf_counter()
     inputs: dict[str, str] = {}
     t = _load_tournament(args.file, inputs)
-    try:
-        r = exact_max_consistent(t, cap=args.cap)
-    except ValueError as e:
-        _usage_fail(str(e))
+    r = exact_max_consistent(t, cap=args.cap)
     _emit("rank exact", inputs, _rank_dict(t, r), started, args.pretty)
     return 0
 
@@ -299,10 +257,7 @@ def cmd_rank_heuristic(args) -> int:
 
 def cmd_rank_baseline(args) -> int:
     started = time.perf_counter()
-    try:
-        summary = random_baseline(args.n, args.trials, args.seed, cap=args.cap)
-    except ValueError as e:
-        _usage_fail(str(e))
+    summary = random_baseline(args.n, args.trials, args.seed, cap=args.cap)
     results = {
         "n": summary.n,
         "trials": summary.trials,
@@ -325,10 +280,7 @@ def cmd_discrepancy_sweep(args) -> int:
     started = time.perf_counter()
     inputs: dict[str, str] = {}
     t = _load_tournament(args.file, inputs)
-    try:
-        report = exhaustive_mixing_check(t, cap=args.cap)
-    except ValueError as e:
-        _usage_fail(str(e))
+    report = exhaustive_mixing_check(t, cap=args.cap)
     _emit("discrepancy sweep", inputs, _mixing_dict(t, report), started, args.pretty)
     return 1 if report.violations else 0
 
@@ -337,12 +289,7 @@ def cmd_discrepancy_sample(args) -> int:
     started = time.perf_counter()
     inputs: dict[str, str] = {}
     t = _load_tournament(args.file, inputs)
-    try:
-        report = sampled_mixing_check(
-            t, args.samples, args.seed, threads=_threads_from_env()
-        )
-    except ValueError as e:
-        _usage_fail(str(e))
+    report = sampled_mixing_check(t, args.samples, args.seed)
     results = _mixing_dict(t, report)
     results["seed"] = args.seed
     _emit("discrepancy sample", inputs, results, started, args.pretty)
@@ -359,10 +306,7 @@ def cmd_discrepancy_bounds(args) -> int:
         r = heuristic_rank(t, strategy="local-search")
     c_value = args.c_value if args.c_value is not None else r.value
     gap = check_sigma_gap(t, r.ranking)
-    try:
-        theorem = check_theorem_bound(t, c_value)
-    except ValueError as e:
-        _usage_fail(str(e))
+    theorem = check_theorem_bound(t, c_value)
     results = {
         "n": t.n,
         "c_value": c_value,
@@ -384,11 +328,8 @@ def cmd_discrepancy_bounds(args) -> int:
 
 def cmd_pipeline_paley(args) -> int:
     started = time.perf_counter()
-    try:
-        field = make_field(args.p, args.k)
-        d = paley_set(field)
-    except ValueError as e:
-        _usage_fail(str(e))
+    field = make_field(args.p, args.k)
+    d = paley_set(field)
     n = field.order
     shds = is_shds(d)
     ok = shds.ok
@@ -418,9 +359,7 @@ def cmd_pipeline_paley(args) -> int:
     if n <= args.sweep_cap:
         mixing = exhaustive_mixing_check(t, cap=args.sweep_cap)
     else:
-        mixing = sampled_mixing_check(
-            t, args.samples, args.seed, threads=_threads_from_env()
-        )
+        mixing = sampled_mixing_check(t, args.samples, args.seed)
     ok = ok and mixing.violations == 0
     results["mixing"] = _mixing_dict(t, mixing)
 
@@ -556,7 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as e:
+        print(f"drt: error: {e}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

@@ -312,8 +312,6 @@ def parse_diffset(text: str) -> CandidateSet:
         raise ValueError("line 1: missing group spec")
     try:
         moduli = parse_group_spec(lines[0])
-        if any(m < 2 for m in moduli):
-            raise ValueError("modulus must be >= 2")
     except ValueError as e:
         raise ValueError(f"line 1: {e}") from None
     group = AbelianGroup(moduli)

@@ -15,7 +15,6 @@ n, and the checks say when that is the case.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .ranking import check_ranking, count_consistent, reverse_ranking
 from .rng import trit_block
-from .tourney import Tournament, signed_adjacency
+from .tourney import Tournament, mask_vertices, signed_adjacency
 
 SWEEP_CAP = 16
 _SAMPLED_N_CAP = 900  # keeps the int64 cross-multiplied fraction compares exact
@@ -35,16 +34,6 @@ def vertex_mask(vertices: Iterable[int]) -> int:
     for v in vertices:
         mask |= 1 << v
     return mask
-
-
-def mask_vertices(mask: int) -> list[int]:
-    """Unpack a bitmask into a sorted vertex list."""
-    out = []
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        out.append(v)
-        mask &= mask - 1
-    return out
 
 
 def _check_mask(t: Tournament, mask: int, name: str) -> None:
@@ -121,23 +110,18 @@ class MixingReport:
 def exhaustive_mixing_check(t: Tournament, cap: int = SWEEP_CAP) -> MixingReport:
     """Check every assignment of vertices to (A, B, neither) with A, B nonempty.
 
-    That is 3^n - 2^(n+1) + 1 ordered pairs; n is capped because of it.  For
-    each A the subsets of the complement are walked in Gray-code order so the
-    discrepancy updates in O(1) per pair.
+    That is 3^n - 2^(n+1) + 1 ordered pairs; n is capped because of it, at
+    `cap` but never above SWEEP_CAP.  For each A the subsets of the complement
+    are walked in Gray-code order so the discrepancy updates in O(1) per pair.
     """
     n = t.n
+    cap = min(cap, SWEEP_CAP)
     if n > cap:
         raise ValueError(
             f"exhaustive sweep capped at n = {cap} (3^n assignments), got n = {n};"
             f" use sampled_mixing_check instead"
         )
-    srows = [
-        [
-            1 if (t.rows[i] >> j) & 1 else (-1 if (t.rows[j] >> i) & 1 else 0)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    srows = signed_adjacency(t).tolist()
     pairs = 0
     violations = 0
     best_num, best_den = 0, 1
@@ -186,16 +170,12 @@ def exhaustive_mixing_check(t: Tournament, cap: int = SWEEP_CAP) -> MixingReport
     return MixingReport("exhaustive", pairs, violations, best_num, best_den, best_pair)
 
 
-def sampled_mixing_check(
-    t: Tournament, samples: int, seed: int, threads: int = 1
-) -> MixingReport:
+def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport:
     """Seeded uniform sampling of (A, B, neither) assignments.
 
     Each vertex independently draws a trit from the seeded stream (1 -> A,
     2 -> B, 0 -> neither); assignments with an empty side are skipped and do
-    not count toward `samples`.  Chunks may be generated by several workers,
-    but they merge in candidate order, so the report does not depend on
-    `threads`.
+    not count toward `samples`.
     """
     n = t.n
     if n < 2:
@@ -204,36 +184,32 @@ def sampled_mixing_check(
         raise ValueError(f"sampled check supports n <= {_SAMPLED_N_CAP}, got {n}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
-    signed = signed_adjacency(t)
+    # Every partial sum of d is an integer of size at most n^2 < 2^53, so the
+    # float64 matmul (far faster than int64, which has no BLAS path) is exact.
+    signed = signed_adjacency(t).astype(np.float64)
     chunk_rows = 1 << 15
-
-    def produce(start_candidate: int, rows: int):
-        trits = trit_block(seed, start_candidate * n, rows * n).reshape(rows, n)
-        a_ind = trits == 1
-        b_ind = trits == 2
-        na = a_ind.sum(axis=1).astype(np.int64)
-        nb = b_ind.sum(axis=1).astype(np.int64)
-        # d_i = sum_{j in A_i, k in B_i} signed[j, k] = e(A,B) - e(B,A)
-        d = ((a_ind.astype(np.int64) @ signed) * b_ind).sum(axis=1)
-        return trits, na, nb, d
-
     collected = 0
     violations = 0
     best_num, best_den = 0, 1
     best_pair: Optional[tuple[int, int]] = None
     max_candidates = 64 * samples + 1024  # unreachable for n >= 2; loop guard
-    next_candidate = 0
-
-    def consume(trits, na, nb, d) -> None:
-        nonlocal collected, violations, best_num, best_den, best_pair
+    start = 0
+    while collected < samples:
+        if start >= max_candidates:
+            raise RuntimeError("sampling failed to find enough valid assignments")
+        trits = trit_block(seed, start * n, chunk_rows * n).reshape(chunk_rows, n)
+        start += chunk_rows
+        a_ind = trits == 1
+        b_ind = trits == 2
+        na = a_ind.sum(axis=1).astype(np.int64)
+        nb = b_ind.sum(axis=1).astype(np.int64)
         valid = np.flatnonzero((na > 0) & (nb > 0))[: samples - collected]
         if valid.size == 0:
-            return
+            continue
         collected += int(valid.size)
-        nav, nbv, dv = na[valid], nb[valid], d[valid]
-        den = n * nav * nbv
+        # d_i = sum_{j in A_i, k in B_i} signed[j, k] = e(A,B) - e(B,A)
+        dv = ((a_ind[valid] @ signed) * b_ind[valid]).sum(axis=1).astype(np.int64)
+        den = n * na[valid] * nb[valid]
         dd = np.where(dv > 0, dv * dv, 0)
         violations += int((dd > den).sum())
         flagged = np.flatnonzero(dd * best_den >= best_num * den)
@@ -252,26 +228,6 @@ def sampled_mixing_check(
                 or (num_r * best_den == best_num * den_r and pair < best_pair)
             ):
                 best_num, best_den, best_pair = num_r, den_r, pair
-
-    if threads == 1:
-        while collected < samples:
-            if next_candidate >= max_candidates:
-                raise RuntimeError("sampling failed to find enough valid assignments")
-            consume(*produce(next_candidate, chunk_rows))
-            next_candidate += chunk_rows
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            while collected < samples:
-                if next_candidate >= max_candidates:
-                    raise RuntimeError(
-                        "sampling failed to find enough valid assignments"
-                    )
-                starts = [
-                    next_candidate + i * chunk_rows for i in range(threads)
-                ]
-                next_candidate += threads * chunk_rows
-                for out in pool.map(lambda s: produce(s, chunk_rows), starts):
-                    consume(*out)  # merge order = candidate order
     return MixingReport("sampled", samples, violations, best_num, best_den, best_pair)
 
 

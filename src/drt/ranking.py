@@ -95,18 +95,24 @@ def dp_table_nbytes(n: int) -> int:
     return 2 << n
 
 
-def exact_max_consistent(t: Tournament, cap: int = DP_CAP) -> RankingResult:
-    """Exact maximum consistency by subset DP; see the module docstring.
-
-    Raises for n above `cap` — the table doubles per vertex, so use the
-    heuristics beyond it.
-    """
-    n = t.n
+def _check_dp_cap(n: int, cap: int) -> None:
+    """Refuse n above `cap`, and above DP_CAP whatever `cap` says."""
+    cap = min(cap, DP_CAP)
     if n > cap:
         raise ValueError(
             f"exact DP capped at n = {cap} (table would need"
             f" {dp_table_nbytes(n)} bytes); use heuristic_rank for n = {n}"
         )
+
+
+def exact_max_consistent(t: Tournament, cap: int = DP_CAP) -> RankingResult:
+    """Exact maximum consistency by subset DP; see the module docstring.
+
+    Raises for n above `cap` or DP_CAP — the table doubles per vertex, so use
+    the heuristics beyond it.
+    """
+    n = t.n
+    _check_dp_cap(n, cap)
     size = 1 << n
     best = np.zeros(size, dtype=np.uint16)
     pc = np.bitwise_count(np.arange(size, dtype=np.uint32))
@@ -269,8 +275,11 @@ def random_baseline(
     n: int, trials: int, seed: int, cap: int = DP_CAP
 ) -> BaselineSummary:
     """Distribution of C(T) over seeded random tournaments (exact DP per trial)."""
+    if n < 2:
+        raise ValueError(f"baseline needs at least two vertices, got n = {n}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    _check_dp_cap(n, cap)  # before any tournament is drawn
     total = n * (n - 1) // 2
     values = []
     for i in range(trials):

@@ -61,13 +61,6 @@ def test_results_identical_across_thread_counts(capsys, monkeypatch):
     assert payloads[0] == payloads[1]
 
 
-def test_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("DRT_THREADS", "many")
-    with pytest.raises(SystemExit) as exc:
-        main(["pipeline", "paley", "--p", "3", "--k", "3", "--samples", "10"])
-    assert exc.value.code == 2
-
-
 # --------------------------------------------------------------- round trips
 
 
@@ -128,6 +121,28 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["rank", "psychic"])
     assert exc.value.code == 2
+
+
+def test_bad_inputs_exit_2_without_traceback(tmp_path):
+    t25, t17 = tmp_path / "t25.txt", tmp_path / "t17.txt"
+    assert main(["tourney", "random", "--n", "25", "-o", str(t25)]) == 0
+    assert main(["tourney", "random", "--n", "17", "-o", str(t17)]) == 0
+    cases = [
+        ["pipeline", "paley", "--p", "31", "--rank-cap", "31"],
+        ["pipeline", "paley", "--p", "31", "--samples", "0"],
+        ["rank", "baseline", "--n", "1"],
+        ["tourney", "random", "--n", "5", "-o", str(tmp_path / "missing" / "x")],
+        ["rank", "exact", str(t25), "--cap", "40"],  # over DP_CAP = 24
+        ["discrepancy", "sweep", str(t17), "--cap", "20"],  # over SWEEP_CAP = 16
+    ]
+    for argv in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "drt.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("drt: error:"), (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
 
 
 # ------------------------------------------------------------------ commands

@@ -255,7 +255,7 @@ def test_format_round_trip(t7):
     "text,fragment",
     [
         ("2\n01\n10\n", "both ways"),
-        ("2\n00\n00\n", "no orientation"),
+        ("2\n00\n00\n", "neither way"),
         ("2\n11\n00\n", "self-loop"),
         ("3\n010\n001\n", "expected 3"),
         ("2\n010\n10\n", "expected 2"),
