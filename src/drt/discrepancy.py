@@ -170,12 +170,41 @@ def exhaustive_mixing_check(t: Tournament, cap: int = SWEEP_CAP) -> MixingReport
     return MixingReport("exhaustive", pairs, violations, best_num, best_den, best_pair)
 
 
+def _rows_at_max(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Indices of the rows whose num / den is largest, compared exactly.
+
+    The rows with the largest float64 quotient hold every exact maximum (see
+    `sampled_mixing_check`); distinct ratios can share that float, so those
+    rows are cross-multiplied in int64, exact while num * den < 2^63.
+    """
+    ratio = num / den
+    top = np.flatnonzero(ratio == ratio.max())
+    r = top[0]
+    while True:
+        above = top[num[top] * den[r] > num[r] * den[top]]
+        if above.size == 0:
+            return top[num[top] * den[r] == num[r] * den[top]]
+        r = above[0]
+
+
 def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport:
     """Seeded uniform sampling of (A, B, neither) assignments.
 
     Each vertex independently draws a trit from the seeded stream (1 -> A,
     2 -> B, 0 -> neither); assignments with an empty side are skipped and do
-    not count toward `samples`.
+    not count toward `samples`.  The pairs checked are the first `samples`
+    valid rows of the stream; each chunk draws only as many rows as samples
+    remain, so no trit is drawn past the last row that can be used.
+
+    The worst pair is found per chunk without a loop over rows.  The ratio
+    d_+^2 / (n |A| |B|) is formed in float64: numerator and denominator are
+    integers below 2^53 for n <= 900, and IEEE division rounds correctly, so
+    it is monotone in the exact ratio and every row attaining the chunk's
+    exact maximum has the chunk's largest float.  Only the rows with that
+    float are compared in exact integers; among those at the exact maximum the
+    smallest (A, B) bitmask pair is picked by a lexsort of their indicator
+    rows, highest vertex first.  Bitmasks are built for that one row, which
+    then meets the running best under the same exact compare and tie-break.
     """
     n = t.n
     if n < 2:
@@ -197,37 +226,39 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
     while collected < samples:
         if start >= max_candidates:
             raise RuntimeError("sampling failed to find enough valid assignments")
-        trits = trit_block(seed, start * n, chunk_rows * n).reshape(chunk_rows, n)
-        start += chunk_rows
+        rows = min(chunk_rows, samples - collected)
+        trits = trit_block(seed, start * n, rows * n).reshape(rows, n)
+        start += rows
         a_ind = trits == 1
         b_ind = trits == 2
         na = a_ind.sum(axis=1).astype(np.int64)
         nb = b_ind.sum(axis=1).astype(np.int64)
-        valid = np.flatnonzero((na > 0) & (nb > 0))[: samples - collected]
+        valid = np.flatnonzero((na > 0) & (nb > 0))
         if valid.size == 0:
             continue
         collected += int(valid.size)
+        a_ind, b_ind = a_ind[valid], b_ind[valid]
         # d_i = sum_{j in A_i, k in B_i} signed[j, k] = e(A,B) - e(B,A)
-        dv = ((a_ind[valid] @ signed) * b_ind[valid]).sum(axis=1).astype(np.int64)
+        dv = ((a_ind @ signed) * b_ind).sum(axis=1).astype(np.int64)
         den = n * na[valid] * nb[valid]
         dd = np.where(dv > 0, dv * dv, 0)
         violations += int((dd > den).sum())
-        flagged = np.flatnonzero(dd * best_den >= best_num * den)
-        for r in flagged:
-            num_r, den_r = int(dd[r]), int(den[r])
-            if num_r == 0 and best_num > 0:
-                continue
-            row = trits[valid[r]]
-            pair = (
-                vertex_mask(int(i) for i in np.flatnonzero(row == 1)),
-                vertex_mask(int(i) for i in np.flatnonzero(row == 2)),
-            )
-            if (
-                best_pair is None
-                or num_r * best_den > best_num * den_r
-                or (num_r * best_den == best_num * den_r and pair < best_pair)
-            ):
-                best_num, best_den, best_pair = num_r, den_r, pair
+        tied = _rows_at_max(dd, den)
+        if tied.size > 1:
+            # lexsort's last key is its primary: A's highest vertex first.
+            keys = np.concatenate((b_ind[tied], a_ind[tied]), axis=1).T
+            tied = tied[np.lexsort(keys)]
+        r = tied[0]
+        num_r, den_r = int(dd[r]), int(den[r])
+        cmp = 1 if best_pair is None else num_r * best_den - best_num * den_r
+        if cmp < 0:
+            continue
+        pair = (
+            vertex_mask(int(i) for i in np.flatnonzero(a_ind[r])),
+            vertex_mask(int(i) for i in np.flatnonzero(b_ind[r])),
+        )
+        if cmp > 0 or pair < best_pair:
+            best_num, best_den, best_pair = num_r, den_r, pair
     return MixingReport("sampled", samples, violations, best_num, best_den, best_pair)
 
 

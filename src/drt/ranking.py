@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import derive_seed
-from .tourney import Tournament, random_tournament
+from .tourney import Tournament, random_tournament, signed_adjacency
 
 DP_CAP = 24
 BRUTE_CAP = 9
@@ -210,6 +210,15 @@ def heuristic_rank(t: Tournament, strategy: str = "local-search") -> RankingResu
     Local search starts from the out-degree order and repeatedly applies the
     best single-vertex reinsertion (ties: smallest moved vertex, then smallest
     target position) until no move improves the count.
+
+    A pass scores all n(n-1) reinsertions at once.  With the signed adjacency
+    permuted into the current order, M[i, k] = +1 iff order[k] -> order[i]
+    (else -1, and 0 on the diagonal), and C its row-wise cumulative sum:
+    moving the vertex at position i rightward to j flips its pairs with
+    positions i+1..j, each gaining an edge iff it points at the mover, so the
+    delta is C[i, j] - C[i, i]; leftward to j it is C[i, j-1] - C[i, i-1]
+    (with C[i, -1] = 0).  `work` counts the n(n-1) moves of every pass,
+    including the last one, which finds no improvement.
     """
     n = t.n
     if strategy == "out-degree":
@@ -219,40 +228,27 @@ def heuristic_rank(t: Tournament, strategy: str = "local-search") -> RankingResu
         raise ValueError(
             f"unknown strategy {strategy!r}: expected 'out-degree' or 'local-search'"
         )
-    order = _out_degree_order(t)
-    rows, in_rows = t.rows, t.in_rows
+    order = np.array(_out_degree_order(t), dtype=np.intp)
+    beaten_by = -signed_adjacency(t)  # beaten_by[x, y] = +1 iff y -> x
+    rightward = np.triu(np.ones((n, n), dtype=bool), k=1)
+    diag = np.arange(n)
+    cums = np.zeros((n, n + 1), dtype=np.int64)  # cums[:, k + 1] = C[:, k]
     work = 0
     while True:
-        best_delta = 0
-        best_key: tuple[int, int] | None = None  # (vertex, target position)
-        best_move: tuple[int, int] | None = None  # (from position, to position)
-        for i, v in enumerate(order):
-            # Moving v rightward to position j flips its pairs with the
-            # vertices formerly at i+1..j, which then precede v; each pair
-            # gains an edge iff it points at v.  Leftward is the mirror.
-            delta = 0
-            for j in range(i + 1, n):
-                u = order[j]
-                delta += 1 if (in_rows[v] >> u) & 1 else -1
-                work += 1
-                if delta > best_delta or (
-                    delta == best_delta and best_delta > 0 and (v, j) < best_key
-                ):
-                    best_delta, best_key, best_move = delta, (v, j), (i, j)
-            delta = 0
-            for j in range(i - 1, -1, -1):
-                u = order[j]
-                delta += 1 if (rows[v] >> u) & 1 else -1
-                work += 1
-                if delta > best_delta or (
-                    delta == best_delta and best_delta > 0 and (v, j) < best_key
-                ):
-                    best_delta, best_key, best_move = delta, (v, j), (i, j)
-        if best_move is None:
+        work += n * (n - 1)
+        np.cumsum(beaten_by[np.ix_(order, order)], axis=1, out=cums[:, 1:])
+        right = cums[:, 1:] - cums[diag, diag + 1][:, None]
+        left = cums[:, :-1] - cums[diag, diag][:, None]
+        delta = np.where(rightward, right, left)  # the diagonal (no move) is 0
+        best = delta.max(initial=0)
+        if best <= 0:
             break
-        i, j = best_move
-        order.insert(j, order.pop(i))
-    return _result(t, _order_to_ranking(order), "local-search", work)
+        src, dst = np.nonzero(delta == best)
+        k = np.argmin(order[src] * n + dst)  # smallest (vertex, target position)
+        i, j = int(src[k]), int(dst[k])
+        v = order[i]
+        order = np.insert(np.delete(order, i), j, v)
+    return _result(t, _order_to_ranking(order.tolist()), "local-search", work)
 
 
 @dataclass(frozen=True)

@@ -158,15 +158,16 @@ def is_doubly_regular(t: Tournament) -> Verdict:
 
 
 def adjacency_matrix(t: Tournament) -> np.ndarray:
-    """0/1 adjacency as an int64 array (row i, column j: edge i -> j)."""
-    m = np.zeros((t.n, t.n), dtype=np.int64)
-    for i, row in enumerate(t.rows):
-        r = row
-        while r:
-            j = (r & -r).bit_length() - 1
-            m[i, j] = 1
-            r &= r - 1
-    return m
+    """0/1 adjacency as an int64 array (row i, column j: edge i -> j).
+
+    Each packed row becomes little-endian bytes, so bit j of a row is bit
+    j % 8 of its byte j // 8, which `unpackbits(bitorder="little")` expands.
+    """
+    n = t.n
+    width = (n + 7) // 8
+    packed = b"".join(row.to_bytes(width, "little") for row in t.rows)
+    bits = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(bits, axis=1, bitorder="little")[:, :n].astype(np.int64)
 
 
 def signed_adjacency(t: Tournament) -> np.ndarray:

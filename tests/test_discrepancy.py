@@ -3,9 +3,13 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+import drt.discrepancy
 from drt.discrepancy import (
+    MixingReport,
+    _rows_at_max,
     bound_is_vacuous,
     check_mixing,
     check_sigma_gap,
@@ -18,7 +22,8 @@ from drt.discrepancy import (
     vertex_mask,
 )
 from drt.ranking import exact_max_consistent
-from drt.tourney import Tournament, random_tournament
+from drt.rng import trit_block
+from drt.tourney import Tournament, random_tournament, signed_adjacency
 
 from conftest import transitive
 
@@ -151,7 +156,7 @@ def test_sweep_cap():
 # -------------------------------------------------------------------- sampled
 
 
-def test_sampled_deterministic_across_threads(t27):
+def test_sampled_deterministic(t27):
     reports = [sampled_mixing_check(t27, 2000, 3) for _ in range(3)]
     assert reports[0] == reports[1] == reports[2]
     assert reports[0].pairs_checked == 2000
@@ -181,6 +186,98 @@ def test_sampled_worst_pair_is_reproducible(t7):
     num = d * d if d > 0 else 0
     den = 7 * bin(a).count("1") * bin(b).count("1")
     assert (num, den) == (r.max_numerator, r.max_denominator)
+
+
+def _sampled_reference(t: Tournament, samples: int, seed: int) -> MixingReport:
+    """The per-row loop that the per-chunk maximum replaced: full 32768-row
+    chunks, every row at or above the running best compared in Python."""
+    n = t.n
+    signed = signed_adjacency(t).astype(np.float64)
+    chunk_rows = 1 << 15
+    collected = violations = start = 0
+    best_num, best_den, best_pair = 0, 1, None
+    while collected < samples:
+        trits = trit_block(seed, start * n, chunk_rows * n).reshape(chunk_rows, n)
+        start += chunk_rows
+        a_ind, b_ind = trits == 1, trits == 2
+        na = a_ind.sum(axis=1).astype(np.int64)
+        nb = b_ind.sum(axis=1).astype(np.int64)
+        valid = np.flatnonzero((na > 0) & (nb > 0))[: samples - collected]
+        collected += int(valid.size)
+        dv = ((a_ind[valid] @ signed) * b_ind[valid]).sum(axis=1).astype(np.int64)
+        den = n * na[valid] * nb[valid]
+        dd = np.where(dv > 0, dv * dv, 0)
+        violations += int((dd > den).sum())
+        for r in np.flatnonzero(dd * best_den >= best_num * den):
+            num_r, den_r = int(dd[r]), int(den[r])
+            if num_r == 0 and best_num > 0:
+                continue
+            row = trits[valid[r]]
+            pair = (
+                vertex_mask(int(i) for i in np.flatnonzero(row == 1)),
+                vertex_mask(int(i) for i in np.flatnonzero(row == 2)),
+            )
+            if (
+                best_pair is None
+                or num_r * best_den > best_num * den_r
+                or (num_r * best_den == best_num * den_r and pair < best_pair)
+            ):
+                best_num, best_den, best_pair = num_r, den_r, pair
+    return MixingReport("sampled", samples, violations, best_num, best_den, best_pair)
+
+
+@pytest.fixture(scope="module")
+def sampled_tournaments(paley, transitive8):
+    named = {"transitive8": transitive8, "t7": paley(7), "t27": paley(3, 3)}
+    for n in (2, 3, 5, 13, 40):
+        named[f"random{n}"] = random_tournament(n, 500 + n)
+    return named
+
+
+@pytest.mark.parametrize("samples", [1, 300, 32768, 32769, 70000])
+@pytest.mark.parametrize(
+    "name", ["transitive8", "t7", "t27", "random2", "random3", "random5", "random13", "random40"]
+)
+def test_sampled_matches_reference_loop(sampled_tournaments, name, samples):
+    t = sampled_tournaments[name]
+    for seed in (0, 1, 2):
+        assert sampled_mixing_check(t, samples, seed) == _sampled_reference(t, samples, seed)
+
+
+@pytest.mark.parametrize("n,samples", [(2, 1), (2, 5000), (7, 300), (27, 40000)])
+def test_sampled_draws_only_the_rows_it_needs(monkeypatch, n, samples):
+    # The candidate rows tile the stream from its start, and no draw reaches
+    # past the samples still missing when it is made.
+    calls = []
+    collected = 0
+
+    def recording(seed, start, count):
+        nonlocal collected
+        calls.append((start, count, samples - collected))
+        trits = trit_block(seed, start, count)
+        rows = trits.reshape(-1, n)
+        collected += int(((rows == 1).any(axis=1) & (rows == 2).any(axis=1)).sum())
+        return trits
+
+    monkeypatch.setattr(drt.discrepancy, "trit_block", recording)
+    sampled_mixing_check(random_tournament(n, n), samples, 4)
+    assert calls[0][0] == 0
+    for (start, count, _), (next_start, _, _) in zip(calls, calls[1:]):
+        assert next_start == start + count
+    for _, count, missing in calls:
+        assert 0 < count <= missing * n
+    assert collected >= samples
+
+
+def test_rows_at_max_separates_ratios_that_share_a_float():
+    # 100000001/100000000 > 100000002/100000001, but both round to one float.
+    num = np.array([100000002, 100000001, 200000002, 3], dtype=np.int64)
+    den = np.array([100000001, 100000000, 200000000, 4], dtype=np.int64)
+    assert num[0] / den[0] == num[1] / den[1]
+    assert _rows_at_max(num, den).tolist() == [1, 2]
+    assert _rows_at_max(num[[0, 3]], den[[0, 3]]).tolist() == [0]
+    zeros = np.zeros(3, dtype=np.int64)
+    assert _rows_at_max(zeros, np.array([5, 1, 7])).tolist() == [0, 1, 2]
 
 
 def test_sampled_input_validation(t7):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
 
+from drt.diffset import paley_set
+from drt.groups import make_field
 from drt.ranking import (
     brute_force_max,
     check_ranking,
@@ -15,7 +18,7 @@ from drt.ranking import (
     reverse_ranking,
 )
 from drt.rng import derive_seed
-from drt.tourney import Tournament, random_tournament
+from drt.tourney import Tournament, cayley_tournament, random_tournament
 
 from conftest import transitive
 
@@ -167,6 +170,77 @@ def test_local_search_dominates_out_degree(seed):
     b = heuristic_rank(t, strategy="local-search").value
     assert b >= a
     assert b <= exact_max_consistent(t).value
+
+
+def _local_search_reference(t: Tournament) -> tuple[int, tuple[int, ...], int]:
+    """The one-move-at-a-time loop that the vectorised pass replaced: the same
+    start (the out-degree order), the same moves and tie-break, the same work."""
+    n = t.n
+    order = sorted(range(n), key=heuristic_rank(t, "out-degree").ranking.__getitem__)
+    rows, in_rows = t.rows, t.in_rows
+    work = 0
+    while True:
+        best_delta = 0
+        best_key = None  # (vertex, target position)
+        best_move = None  # (from position, to position)
+        for i, v in enumerate(order):
+            delta = 0
+            for j in range(i + 1, n):
+                delta += 1 if (in_rows[v] >> order[j]) & 1 else -1
+                work += 1
+                if delta > best_delta or (
+                    delta == best_delta and best_delta > 0 and (v, j) < best_key
+                ):
+                    best_delta, best_key, best_move = delta, (v, j), (i, j)
+            delta = 0
+            for j in range(i - 1, -1, -1):
+                delta += 1 if (rows[v] >> order[j]) & 1 else -1
+                work += 1
+                if delta > best_delta or (
+                    delta == best_delta and best_delta > 0 and (v, j) < best_key
+                ):
+                    best_delta, best_key, best_move = delta, (v, j), (i, j)
+        if best_move is None:
+            break
+        i, j = best_move
+        order.insert(j, order.pop(i))
+    ranking = [0] * n
+    for pos, v in enumerate(order):
+        ranking[v] = pos + 1
+    return count_consistent(t, ranking), tuple(ranking), work
+
+
+def rotational(n: int, signs: tuple[int, ...]) -> Tournament:
+    """i -> i + d (mod n) for d = s or n - s, one of each pair {s, n - s}."""
+    steps = [s if keep else n - s for s, keep in zip(range(1, n // 2 + 1), signs)]
+    return Tournament(n, tuple(sum(1 << (i + d) % n for d in steps) for i in range(n)))
+
+
+def _local_search_cases():
+    for n in range(1, 41):
+        yield pytest.param(random_tournament(n, derive_seed(41, n)), id=f"random{n}")
+    for n in (7, 11):
+        for signs in itertools.product((0, 1), repeat=n // 2):
+            yield pytest.param(
+                rotational(n, signs), id=f"rotational{n}-{''.join(map(str, signs))}"
+            )
+    for p, k in ((7, 1), (11, 1), (19, 1), (23, 1), (3, 3), (31, 1), (43, 1)):
+        t = cayley_tournament(paley_set(make_field(p, k)))
+        yield pytest.param(t, id=f"paley{t.n}")
+
+
+@pytest.mark.parametrize("t", list(_local_search_cases()))
+def test_local_search_matches_reference_loop(t):
+    r = heuristic_rank(t, strategy="local-search")
+    assert (r.value, r.ranking, r.work) == _local_search_reference(t)
+
+
+def test_local_search_frozen_at_q243(paley):
+    # Z3^5: the reference loop takes seconds here, so its output is frozen.
+    r = heuristic_rank(paley(3, 5), strategy="local-search")
+    assert (r.value, r.work) == (16071, 11_055_528)
+    digest = hashlib.sha256(",".join(map(str, r.ranking)).encode()).hexdigest()
+    assert digest == "4870f2ef4faa47ffeb20a1ecf769cd548617bd252896fe96d11e8d965bd7c129"
 
 
 def test_unknown_strategy():

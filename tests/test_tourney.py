@@ -152,6 +152,19 @@ def test_adjacency_matrix_partition(t7):
     assert np.array_equal(m + m.T, np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64))
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 64, 65])
+def test_adjacency_matrix_matches_bit_loop(n):
+    t = random_tournament(n, 900 + n)
+    want = np.zeros((n, n), dtype=np.int64)
+    for i, row in enumerate(t.rows):
+        for j in range(n):
+            if (row >> j) & 1:
+                want[i, j] = 1
+    got = adjacency_matrix(t)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
 def test_signed_adjacency_is_antisymmetric(t7):
     s = signed_adjacency(t7)
     assert np.array_equal(s, -s.T)
