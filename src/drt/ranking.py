@@ -229,14 +229,16 @@ def heuristic_rank(t: Tournament, strategy: str = "local-search") -> RankingResu
             f"unknown strategy {strategy!r}: expected 'out-degree' or 'local-search'"
         )
     order = np.array(_out_degree_order(t), dtype=np.intp)
-    beaten_by = -signed_adjacency(t)  # beaten_by[x, y] = +1 iff y -> x
+    # beaten_by[x, y] = +1 iff y -> x; int32 holds every sum (|C| < n).
+    beaten_by = -signed_adjacency(t).astype(np.int32)
     rightward = np.triu(np.ones((n, n), dtype=bool), k=1)
     diag = np.arange(n)
-    cums = np.zeros((n, n + 1), dtype=np.int64)  # cums[:, k + 1] = C[:, k]
+    cums = np.zeros((n, n + 1), dtype=np.int32)  # cums[:, k + 1] = C[:, k]
     work = 0
     while True:
         work += n * (n - 1)
-        np.cumsum(beaten_by[np.ix_(order, order)], axis=1, out=cums[:, 1:])
+        permuted = beaten_by[np.ix_(order, order)]
+        np.cumsum(permuted, axis=1, dtype=np.int32, out=cums[:, 1:])
         right = cums[:, 1:] - cums[diag, diag + 1][:, None]
         left = cums[:, :-1] - cums[diag, diag][:, None]
         delta = np.where(rightward, right, left)  # the diagonal (no move) is 0
