@@ -8,10 +8,14 @@ comes from a subset dynamic program over the 2^n prefix sets:
 
 where S is the set of earliest-ranked |S| vertices and v the last among them.
 The value table is one uint16 per subset (2^(n+1) bytes: 2 MiB at n = 20,
-16 MiB at n = 23, 33.5 MiB at the default cap 24), and the layers are swept
-with vectorized popcounts, so n = 20 takes about a second and n = 23 well
-under a minute.  Reconstruction backtracks through the table, breaking ties
-toward the smallest vertex index.
+16 MiB at n = 23, 32 MiB at the hard cap 24).  It is filled in numeric-order
+blocks (see `_dp_table`): rows of 2^8 low-vertex subsets, swept by the
+popcount of their high vertices, a bounded slice of rows at a time, and the
+columns of each row by their own popcount.  Measured in-process on one core
+of a 2-vCPU VM (Python 3.11, numpy 2.4), median of 7 runs: 28 ms at n = 20,
+0.11 s at n = 22, 0.20 s at n = 23, 0.49 s at n = 24; the tracemalloc peak
+of the whole call is 1.12-1.14x the table at n = 20-24.  Reconstruction
+backtracks through the table, breaking ties toward the smallest vertex index.
 """
 
 from __future__ import annotations
@@ -105,6 +109,66 @@ def _check_dp_cap(n: int, cap: int) -> None:
         )
 
 
+_BLOCK_BITS = 8  # low vertices per table row: rows of 256 uint16 entries
+
+
+def _dp_table(t: Tournament) -> np.ndarray:
+    """best[S] for every subset S of the vertices, as a flat uint16 array.
+
+    The table is swept as a (2^(n-b), 2^b) array: row h holds the subsets
+    whose high vertices b..n-1 are the bits of h, column l their low vertices
+    0..b-1.  Taking v last in S gains |S & in(v)| (v is not in in(v)), which
+    splits into a row part |h & in(v) >> b| and a column part |l & in(v)|.
+    Removing a high vertex leaves a row with one high bit fewer, so rows are
+    swept by the popcount of h and that row is already final.  Removing a
+    low vertex stays in the row, so inside a row the columns are swept by
+    their popcount.  A layer of rows is updated max(2^(n-b) / 32, 2^(14-b))
+    rows at a time, which keeps the scratch arrays a small fraction of the
+    table.
+    """
+    n = t.n
+    b = min(n, _BLOCK_BITS)
+    width, nrows = 1 << b, 1 << (n - b)
+    best = np.zeros((nrows, width), dtype=np.uint16)
+    in_rows = np.array(t.in_rows, dtype=np.uint32)
+    cols = np.arange(width, dtype=np.uint32)
+    col_gain = np.bitwise_count(in_rows[:, None] & cols).astype(np.uint16)
+    in_high = in_rows >> b
+    # Per low popcount j: the columns l of that popcount, and for each of them
+    # its j low vertices v, the columns l ^ 2^v they leave, and their gains.
+    col_pc = np.bitwise_count(cols)
+    low_steps = []
+    for j in range(1, b + 1):
+        tgt = np.flatnonzero(col_pc == j)
+        v = np.nonzero((tgt[:, None] >> np.arange(b)) & 1)[1].reshape(tgt.size, j)
+        src = tgt[:, None] ^ (1 << v)
+        low_steps.append((tgt, src, v, col_gain[v, src]))
+    row_pc = np.bitwise_count(np.arange(nrows, dtype=np.uint32))
+    height = max(nrows // 32, (1 << 14) >> b)
+    high_bits = np.arange(n - b, dtype=np.uint32)
+    for k in range(n - b + 1):
+        layer = np.flatnonzero(row_pc == k).astype(np.uint32)
+        for lo in range(0, layer.size, height):
+            hs = layer[lo : lo + height]
+            row_gain = np.bitwise_count(hs[:, None] & in_high).astype(np.uint16)
+            block = np.zeros((hs.size, width), dtype=np.uint16)
+            # The k high vertices of each row, lowest first.
+            high = np.nonzero((hs[:, None] >> high_bits) & 1)[1].reshape(hs.size, k)
+            for i in range(k):
+                w = high[:, i] + b
+                cand = best[hs ^ (1 << high[:, i])]
+                cand += col_gain[w]
+                cand += row_gain[np.arange(hs.size), w][:, None]
+                np.maximum(block, cand, out=block)
+            for tgt, src, v, gain in low_steps:
+                cand = block[:, src]
+                cand += gain
+                cand += row_gain[:, v]
+                block[:, tgt] = np.maximum(block[:, tgt], cand.max(axis=2))
+            best[hs] = block
+    return best.reshape(-1)
+
+
 def exact_max_consistent(t: Tournament, cap: int = DP_CAP) -> RankingResult:
     """Exact maximum consistency by subset DP; see the module docstring.
 
@@ -113,25 +177,8 @@ def exact_max_consistent(t: Tournament, cap: int = DP_CAP) -> RankingResult:
     """
     n = t.n
     _check_dp_cap(n, cap)
-    size = 1 << n
-    best = np.zeros(size, dtype=np.uint16)
-    pc = np.bitwise_count(np.arange(size, dtype=np.uint32))
-    order = np.argsort(pc, kind="stable").astype(np.uint32)
-    layer_sizes = np.bincount(pc, minlength=n + 1)
-    bounds = np.concatenate(([0], np.cumsum(layer_sizes)))
-    del pc
-    in_rows = [np.uint32(m) for m in t.in_rows]
-    for k in range(1, n + 1):
-        layer = order[bounds[k] : bounds[k + 1]]
-        for v in range(n):
-            bit = np.uint32(1 << v)
-            masks = layer[(layer & bit) != 0]
-            if masks.size == 0:
-                continue
-            prev = masks ^ bit
-            cand = best[prev] + np.bitwise_count(prev & in_rows[v]).astype(np.uint16)
-            np.maximum(best[masks], cand, out=cand)
-            best[masks] = cand
+    best = _dp_table(t)
+    size = best.size
     value = int(best[size - 1])
 
     # Backtrack: peel off the last-ranked vertex, smallest index on ties.

@@ -63,20 +63,55 @@ class SplitMix64:
         return (3 * (self.u64() >> 32)) >> 32
 
 
+_TRIT_SUB_BLOCK = 1 << 16  # draws per pass of trit_block: 512 KiB of uint64
+
+
+def _finalize_in_place(z: np.ndarray, scratch: np.ndarray) -> None:
+    """mix64 applied elementwise to the uint64 array `z`, overwriting it."""
+    np.right_shift(z, 30, out=scratch)
+    z ^= scratch
+    z *= np.uint64(MIX_MULT_1)
+    np.right_shift(z, 27, out=scratch)
+    z ^= scratch
+    z *= np.uint64(MIX_MULT_2)
+    np.right_shift(z, 31, out=scratch)
+    z ^= scratch
+
+
 def u64_block(seed: int, start: int, count: int) -> np.ndarray:
     """Draws `start` .. `start+count-1` of the stream, as a uint64 array.
 
     Bit-identical to `count` successive SplitMix64(seed, counter=start).u64()
     calls.
     """
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = idx * np.uint64(GOLDEN_GAMMA) + np.uint64(seed & _MASK64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX_MULT_1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX_MULT_2)
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN_GAMMA)
+    z += np.uint64(seed & _MASK64)
+    _finalize_in_place(z, np.empty_like(z))
+    return z
 
 
 def trit_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized counterpart of SplitMix64.trit (uint8 array)."""
-    v = u64_block(seed, start, count)
-    return ((v >> np.uint64(32)) * np.uint64(3) >> np.uint64(32)).astype(np.uint8)
+    """Vectorized counterpart of SplitMix64.trit (uint8 array).
+
+    The draws are made _TRIT_SUB_BLOCK at a time in two reused uint64
+    buffers, so the only count-sized array is the uint8 result.
+    """
+    out = np.empty(count, dtype=np.uint8)
+    sub = min(count, _TRIT_SUB_BLOCK)
+    # Draw start + lo + i mixes base + steps[i], base = seed + (start + lo) * GAMMA.
+    steps = np.arange(1, sub + 1, dtype=np.uint64)
+    steps *= np.uint64(GOLDEN_GAMMA)
+    z = np.empty(sub, dtype=np.uint64)
+    scratch = np.empty(sub, dtype=np.uint64)
+    for lo in range(0, count, _TRIT_SUB_BLOCK):
+        m = min(_TRIT_SUB_BLOCK, count - lo)
+        base = (seed + (start + lo) * GOLDEN_GAMMA) & _MASK64
+        zz = z[:m]
+        np.add(steps[:m], np.uint64(base), out=zz)
+        _finalize_in_place(zz, scratch[:m])
+        zz >>= np.uint64(32)
+        zz *= np.uint64(3)
+        zz >>= np.uint64(32)
+        out[lo : lo + m] = zz
+    return out

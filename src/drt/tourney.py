@@ -89,16 +89,19 @@ def cayley_tournament(d: CandidateSet) -> Tournament:
             (g for g in group.elements() if g not in covered), key=group.index
         )
         raise ValueError(f"set is not skew: element {missing} is in neither D nor -D")
+    # x -> y iff y = x - dd for a member dd: subtract on the mixed-radix
+    # coordinates of every (element, member) pair at once.
     n = group.order
-    elements = list(group.elements())
-    rows = [0] * n
-    for i, x in enumerate(elements):
-        row = 0
-        for dd in d.elements:
-            # x - y = dd  <=>  y = x - dd
-            row |= 1 << group.index(group.sub(x, dd))
-        rows[i] = row
-    return Tournament(n, tuple(rows))
+    coords = np.stack(np.unravel_index(np.arange(n), group.moduli), axis=-1)
+    members = np.array(list(d.elements), dtype=np.intp)
+    members = members.reshape(len(d), len(group.moduli))
+    diffs = (coords[:, None, :] - members) % np.array(group.moduli)
+    targets = np.ravel_multi_index(tuple(np.moveaxis(diffs, -1, 0)), group.moduli)
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[np.arange(n)[:, None], targets] = True
+    packed = np.packbits(adjacency, axis=1, bitorder="little")
+    rows = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return Tournament(n, rows)
 
 
 def common_out_neighbors(t: Tournament, x: int, y: int) -> set[int]:

@@ -12,6 +12,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 
 import pytest
@@ -227,21 +228,35 @@ def test_criterion_7_equivalence_engine():
         assert equivalent == expected and isomorphic == expected, (ia, ib)
 
 
+def _timed_peak(fn, *args):
+    """fn(*args), its wall time, and the tracemalloc peak of what it allocated."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        started = time.perf_counter()
+        result = fn(*args)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, elapsed, peak
+
+
 def test_criterion_8_dp_performance_and_thread_independence():
     assert dp_table_nbytes(20) <= 64 * 2**20  # value table stays within 64 MiB
 
     t20 = random_tournament(20, 8)
-    started = time.perf_counter()
-    r20 = exact_max_consistent(t20)
-    elapsed = time.perf_counter() - started
+    r20, elapsed, peak = _timed_peak(exact_max_consistent, t20)
     assert elapsed < 60.0, f"n=20 took {elapsed:.2f}s"
+    # measured: the whole DP, table included, stays within 1.5x the table
+    assert peak <= 1.5 * dp_table_nbytes(20), f"n=20 peaked at {peak} bytes"
     assert count_consistent(t20, r20.ranking) == r20.value
 
     t23 = cayley_tournament(paley_set(make_field(23, 1)))
-    started = time.perf_counter()
-    r23 = exact_max_consistent(t23)
-    elapsed = time.perf_counter() - started
+    r23, elapsed, peak = _timed_peak(exact_max_consistent, t23)
     assert elapsed < 900.0, f"n=23 took {elapsed:.2f}s"
+    assert peak <= 1.5 * dp_table_nbytes(23), f"n=23 peaked at {peak} bytes"
     assert 2 * r23.value >= 253
 
     t27 = cayley_tournament(paley_set(make_field(3, 3)))

@@ -3,11 +3,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
 from drt.diffset import paley_set
 from drt.groups import make_field
 from drt.ranking import (
+    RankingResult,
+    _dp_table,
     brute_force_max,
     check_ranking,
     count_consistent,
@@ -37,6 +40,12 @@ def all_tournaments(n: int):
             else:
                 rows[j] |= 1 << i
         yield Tournament(n, tuple(rows))
+
+
+def rotational(n: int, signs: tuple[int, ...]) -> Tournament:
+    """i -> i + d (mod n) for d = s or n - s, one of each pair {s, n - s}."""
+    steps = [s if keep else n - s for s, keep in zip(range(1, n // 2 + 1), signs)]
+    return Tournament(n, tuple(sum(1 << (i + d) % n for d in steps) for i in range(n)))
 
 
 # ------------------------------------------------------------------ counting
@@ -133,6 +142,70 @@ def test_brute_force_cap():
         brute_force_max(transitive(10))
 
 
+def _exact_reference(t: Tournament) -> tuple[np.ndarray, RankingResult]:
+    """The popcount-layer loop that the block sweep replaced, with its
+    backtrack: one global argsort of the 2^n popcounts, then per layer and
+    vertex a filter of the layer and two gathers.  Returns the whole value
+    table and the result."""
+    n = t.n
+    size = 1 << n
+    best = np.zeros(size, dtype=np.uint16)
+    pc = np.bitwise_count(np.arange(size, dtype=np.uint32))
+    order = np.argsort(pc, kind="stable").astype(np.uint32)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(pc, minlength=n + 1))))
+    in_rows = [np.uint32(m) for m in t.in_rows]
+    for k in range(1, n + 1):
+        layer = order[bounds[k] : bounds[k + 1]]
+        for v in range(n):
+            bit = np.uint32(1 << v)
+            masks = layer[(layer & bit) != 0]
+            if masks.size == 0:
+                continue
+            prev = masks ^ bit
+            cand = best[prev] + np.bitwise_count(prev & in_rows[v]).astype(np.uint16)
+            np.maximum(best[masks], cand, out=cand)
+            best[masks] = cand
+    ranks = [0] * n
+    s = size - 1
+    for r in range(n, 0, -1):
+        for v in range(n):  # smallest vertex index on ties
+            prev = s & ~(1 << v)
+            if (s >> v) & 1 and int(best[prev]) + (
+                t.in_rows[v] & prev
+            ).bit_count() == int(best[s]):
+                ranks[v] = r
+                s = prev
+                break
+    value = count_consistent(t, ranks)
+    assert value == int(best[-1])
+    return best, RankingResult(value, tuple(ranks), "exact-dp", size)
+
+
+def _dp_cases():
+    # With 8 low vertices per row: n <= 8 is one row, n = 9 the first with a
+    # high vertex, n = 16 the first whose middle layer of rows is split into
+    # slices, and at n = 20 the slice height outgrows its floor.
+    for n in [*range(1, 17), 20]:
+        yield pytest.param(random_tournament(n, derive_seed(23, n)), id=f"random{n}")
+    for n in range(2, 12):
+        yield pytest.param(transitive(n), id=f"transitive{n}")
+    for n in (7, 11):
+        for signs in itertools.product((0, 1), repeat=n // 2):
+            yield pytest.param(
+                rotational(n, signs), id=f"rotational{n}-{''.join(map(str, signs))}"
+            )
+    for p in (7, 11, 19, 23):
+        t = cayley_tournament(paley_set(make_field(p, 1)))
+        yield pytest.param(t, id=f"paley{p}")
+
+
+@pytest.mark.parametrize("t", list(_dp_cases()))
+def test_exact_matches_reference_loop(t):
+    table, result = _exact_reference(t)
+    assert np.array_equal(_dp_table(t), table)
+    assert exact_max_consistent(t) == result
+
+
 def test_dp_cap_and_table_size():
     with pytest.raises(ValueError):
         exact_max_consistent(transitive(25))
@@ -208,12 +281,6 @@ def _local_search_reference(t: Tournament) -> tuple[int, tuple[int, ...], int]:
     for pos, v in enumerate(order):
         ranking[v] = pos + 1
     return count_consistent(t, ranking), tuple(ranking), work
-
-
-def rotational(n: int, signs: tuple[int, ...]) -> Tournament:
-    """i -> i + d (mod n) for d = s or n - s, one of each pair {s, n - s}."""
-    steps = [s if keep else n - s for s, keep in zip(range(1, n // 2 + 1), signs)]
-    return Tournament(n, tuple(sum(1 << (i + d) % n for d in steps) for i in range(n)))
 
 
 def _local_search_cases():

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from drt.rng import SplitMix64, derive_seed, mix64, trit_block, u64_block
+from drt.rng import (
+    _TRIT_SUB_BLOCK,
+    SplitMix64,
+    derive_seed,
+    mix64,
+    trit_block,
+    u64_block,
+)
 
 SEEDS = [0, 1, 7, 42, 2**63, 2**64 - 1]
 
@@ -39,6 +46,18 @@ def test_trits_match_scalar_path():
     scalar = [rng.trit() for _ in range(300)]
     assert scalar == list(trit_block(99, 0, 300))
     assert set(scalar) <= {0, 1, 2}
+
+
+@pytest.mark.parametrize("seed", [7, 2**64 - 5])
+def test_trits_across_sub_blocks_match_scalar_path(seed):
+    # two full sub-blocks and a partial third, from an offset counter
+    start, count = 12_345, 2 * _TRIT_SUB_BLOCK + 1001
+    rng = SplitMix64(seed, counter=start)
+    scalar = [rng.trit() for _ in range(count)]
+    block = trit_block(seed, start, count)
+    assert block.dtype == np.uint8
+    assert block.tolist() == scalar
+    assert trit_block(seed, start, 0).size == 0
 
 
 def test_coin_is_top_bit():

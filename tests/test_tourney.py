@@ -6,8 +6,14 @@ import itertools
 import numpy as np
 import pytest
 
-from drt.diffset import candidate_from_indices, is_shds, is_skew
-from drt.groups import make_group
+from drt.diffset import (
+    CandidateSet,
+    candidate_from_indices,
+    is_shds,
+    is_skew,
+    paley_set,
+)
+from drt.groups import make_field, make_group
 from drt.tourney import (
     Tournament,
     adjacency_matrix,
@@ -96,6 +102,44 @@ def test_shds_iff_doubly_regular_over_all_skew_3_subsets():
         t = cayley_tournament(d)
         assert is_shds(d).ok == is_doubly_regular(t).ok
     assert seen == 8  # one choice from each pair {x, -x}
+
+
+def _cayley_rows_reference(d) -> tuple[int, ...]:
+    """The per-pair build that index arithmetic replaced: one validating
+    `group.index(group.sub(x, dd))` per (element, member) pair."""
+    group = d.group
+    return tuple(
+        sum(1 << group.index(group.sub(x, dd)) for dd in d.elements)
+        for x in group.elements()
+    )
+
+
+def _greedy_skew_set(moduli) -> CandidateSet:
+    """The first of each pair {x, -x} in index order: skew in any odd group."""
+    group = make_group(moduli)
+    chosen: set = set()
+    for x in list(group.elements())[1:]:
+        if group.neg(x) not in chosen:
+            chosen.add(x)
+    return CandidateSet(group, frozenset(chosen))
+
+
+def _cayley_cases():
+    for combo in itertools.combinations(range(1, 7), 3):
+        d = candidate_from_indices(Z7, combo)
+        if is_skew(d):
+            yield pytest.param(d, id="z7-" + "".join(map(str, combo)))
+    for p, k in ((3, 1), (7, 1), (11, 1), (19, 1), (23, 1), (3, 3), (31, 1),
+                 (43, 1), (3, 5), (251, 1)):
+        yield pytest.param(paley_set(make_field(p, k)), id=f"paley{p ** k}")
+    for moduli in ((3, 5), (5, 3), (3, 3, 5), (9, 3)):
+        d = _greedy_skew_set(moduli)
+        yield pytest.param(d, id=f"greedy-{d.group}")
+
+
+@pytest.mark.parametrize("d", list(_cayley_cases()))
+def test_cayley_rows_match_per_pair_build(d):
+    assert cayley_tournament(d).rows == _cayley_rows_reference(d)
 
 
 # ------------------------------------------------------------ double regular
