@@ -25,7 +25,11 @@ from .rng import trit_block
 from .tourney import Tournament, mask_vertices, signed_adjacency
 
 SWEEP_CAP = 16
+_SWEEP_SLICE_PAIRS = 1 << 16  # pairs per sweep matmul; bounds its temporaries
 _SAMPLED_N_CAP = 900  # keeps the int64 cross-multiplied fraction compares exact
+
+# A running worst pair: (d_+^2, n |A| |B|, (A, B)), with no pair before the first.
+_Best = tuple[int, int, Optional[tuple[int, int]]]
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -111,8 +115,26 @@ def exhaustive_mixing_check(t: Tournament, cap: int = SWEEP_CAP) -> MixingReport
     """Check every assignment of vertices to (A, B, neither) with A, B nonempty.
 
     That is 3^n - 2^(n+1) + 1 ordered pairs; n is capped because of it, at
-    `cap` but never above SWEEP_CAP.  For each A the subsets of the complement
-    are walked in Gray-code order so the discrepancy updates in O(1) per pair.
+    `cap` but never above SWEEP_CAP.
+
+    The pairs are batched subset sums.  col[A][j] = sum over i in A of
+    sign(i -> j) is filled for every A by doubling, one numpy op per vertex.
+    The sets A with c vertices outside them form one batch, in ascending
+    order.  Each A's col entries at its c complement positions (ascending),
+    times the (c, 2^c - 1) indicator matrix of the nonempty subsets g of
+    those positions, give d(A, B) = e(A,B) - e(B,A) for every B inside the
+    complement in one matmul, column g holding the B made of the positions
+    in g.  The matmul is float64 and exact: every partial sum is an integer
+    of size at most n^2 <= 256.  Ascending positions make g -> B preserve
+    order, so the smallest row and column of a tie are its smallest (A, B).
+
+    A batch is cut into slices of about _SWEEP_SLICE_PAIRS pairs.  In a
+    slice den = n |A| |B| depends on the column alone, and for integer d,
+    d_+^2 > den iff d > isqrt(den), which counts the violations.  The column
+    maxima of d go to `_rows_at_max` for the columns at the slice's exact
+    maximum of d_+^2 / den; in those columns the first row attaining it has
+    the smallest A, and the first such column the smallest B.  That pair
+    meets the running best as in `sampled_mixing_check`.
     """
     n = t.n
     cap = min(cap, SWEEP_CAP)
@@ -121,53 +143,54 @@ def exhaustive_mixing_check(t: Tournament, cap: int = SWEEP_CAP) -> MixingReport
             f"exhaustive sweep capped at n = {cap} (3^n assignments), got n = {n};"
             f" use sampled_mixing_check instead"
         )
-    srows = signed_adjacency(t).tolist()
-    pairs = 0
-    violations = 0
-    best_num, best_den = 0, 1
-    best_pair: Optional[tuple[int, int]] = None
-    for a_mask in range(1, 1 << n):
-        col = [0] * n  # col[j] = sum over i in A of sign(i -> j)
-        rest = a_mask
-        na = 0
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            na += 1
-            si = srows[i]
-            for j in range(n):
-                col[j] += si[j]
-        comp = [j for j in range(n) if not (a_mask >> j) & 1]
-        n_na = n * na
-        d = 0
-        b_mask = 0
-        size = 0
-        for g in range(1, 1 << len(comp)):
-            j = comp[(g & -g).bit_length() - 1]
-            bit = 1 << j
-            if b_mask & bit:
-                b_mask ^= bit
-                size -= 1
-                d -= col[j]
-            else:
-                b_mask |= bit
-                size += 1
-                d += col[j]
-            pairs += 1
-            den = n_na * size
-            dd = d * d if d > 0 else 0
-            if dd > den:
-                violations += 1
-            if dd:
-                if dd * best_den > best_num * den:
-                    best_num, best_den, best_pair = dd, den, (a_mask, b_mask)
-                elif dd * best_den == best_num * den and (a_mask, b_mask) < best_pair:
-                    best_num, best_den, best_pair = dd, den, (a_mask, b_mask)
-            elif best_num == 0 and (
-                best_pair is None or (a_mask, b_mask) < best_pair
-            ):
-                best_den, best_pair = den, (a_mask, b_mask)
-    return MixingReport("exhaustive", pairs, violations, best_num, best_den, best_pair)
+    signed = signed_adjacency(t).astype(np.int8)
+    col = np.zeros((1 << n, n), dtype=np.int8)  # |col| <= n - 1 <= 15
+    for v in range(n):
+        col[1 << v : 2 << v] = col[: 1 << v] + signed[v]
+    masks = np.arange(1 << n)
+    sizes = np.bitwise_count(masks)
+    pairs = violations = 0
+    best: _Best = (0, 1, None)
+    for c in range(1, n):
+        a_masks = masks[sizes == n - c]
+        outside = ((a_masks[:, None] >> np.arange(n)) & 1) == 0
+        comp = (np.flatnonzero(outside) % n).reshape(-1, c)
+        gathered = col[a_masks[:, None], comp].astype(np.float64)
+        g = np.arange(1, 1 << c)
+        subsets = ((g >> np.arange(c)[:, None]) & 1).astype(np.float64)
+        b_sizes = np.bitwise_count(g)
+        den = n * (n - c) * b_sizes.astype(np.int64)
+        roots = [math.isqrt(n * (n - c) * k) for k in range(c + 1)]
+        threshold = np.array(roots)[b_sizes]
+        pairs += a_masks.size * g.size
+        rows = max(1, _SWEEP_SLICE_PAIRS // g.size)
+        for lo in range(0, a_masks.size, rows):
+            d = gathered[lo : lo + rows] @ subsets
+            violations += int(np.count_nonzero(d > threshold))
+            top = np.maximum(d.max(axis=0), 0)
+            num = (top * top).astype(np.int64)
+            cols = _rows_at_max(num, den)
+            # At a maximum of 0 every d <= 0 attains it, hence the clamp.
+            first = (np.maximum(d[:, cols], 0) == top[cols]).argmax(axis=0)
+            k = int(np.argmin(first))
+            r, j = lo + int(first[k]), int(cols[k])
+            pair = (int(a_masks[r]), vertex_mask(comp[r, subsets[:, j] > 0].tolist()))
+            best = _fold_best(best, int(num[j]), int(den[j]), pair)
+    return MixingReport("exhaustive", pairs, violations, *best)
+
+
+def _fold_best(best: _Best, num: int, den: int, pair: tuple[int, int]) -> _Best:
+    """The running best (num, den, pair) after it meets one candidate.
+
+    The larger exact fraction wins, by integer cross-multiplication; on a tie
+    the smaller (A, B) bitmask pair does.
+    """
+    best_num, best_den, best_pair = best
+    if best_pair is not None:
+        cmp = num * best_den - best_num * den
+        if cmp < 0 or (cmp == 0 and pair >= best_pair):
+            return best
+    return num, den, pair
 
 
 def _rows_at_max(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -219,8 +242,7 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
     chunk_rows = 1 << 15
     collected = 0
     violations = 0
-    best_num, best_den = 0, 1
-    best_pair: Optional[tuple[int, int]] = None
+    best: _Best = (0, 1, None)
     max_candidates = 64 * samples + 1024  # unreachable for n >= 2; loop guard
     start = 0
     while collected < samples:
@@ -249,17 +271,12 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
             keys = np.concatenate((b_ind[tied], a_ind[tied]), axis=1).T
             tied = tied[np.lexsort(keys)]
         r = tied[0]
-        num_r, den_r = int(dd[r]), int(den[r])
-        cmp = 1 if best_pair is None else num_r * best_den - best_num * den_r
-        if cmp < 0:
-            continue
         pair = (
-            vertex_mask(int(i) for i in np.flatnonzero(a_ind[r])),
-            vertex_mask(int(i) for i in np.flatnonzero(b_ind[r])),
+            vertex_mask(np.flatnonzero(a_ind[r]).tolist()),
+            vertex_mask(np.flatnonzero(b_ind[r]).tolist()),
         )
-        if cmp > 0 or pair < best_pair:
-            best_num, best_den, best_pair = num_r, den_r, pair
-    return MixingReport("sampled", samples, violations, best_num, best_den, best_pair)
+        best = _fold_best(best, int(dd[r]), int(den[r]), pair)
+    return MixingReport("sampled", samples, violations, *best)
 
 
 def gap_bound(n: int) -> float:

@@ -44,6 +44,12 @@ def transitive(n: int) -> Tournament:
     return Tournament(n, tuple(rows))
 
 
+def rotational(n: int, signs: tuple[int, ...]) -> Tournament:
+    """i -> i + d (mod n) for d = s or n - s, one of each pair {s, n - s}."""
+    steps = [s if keep else n - s for s, keep in zip(range(1, n // 2 + 1), signs)]
+    return Tournament(n, tuple(sum(1 << (i + d) % n for d in steps) for i in range(n)))
+
+
 @pytest.fixture(scope="session")
 def transitive8() -> Tournament:
     return transitive(8)

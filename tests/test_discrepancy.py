@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +22,18 @@ from drt.discrepancy import (
     sampled_mixing_check,
     vertex_mask,
 )
+from drt.diffset import paley_set
+from drt.groups import make_field
 from drt.ranking import exact_max_consistent
 from drt.rng import trit_block
-from drt.tourney import Tournament, random_tournament, signed_adjacency
+from drt.tourney import (
+    Tournament,
+    cayley_tournament,
+    random_tournament,
+    signed_adjacency,
+)
 
-from conftest import transitive
+from conftest import rotational, transitive
 
 
 def cycle3() -> Tournament:
@@ -117,9 +125,11 @@ def test_sweep_paley_11_no_violations(t11):
 
 
 def test_sweep_agrees_with_direct_enumeration():
-    # independent recount on a random 6-tournament
+    # independent recount on a random 6-tournament, keeping the smallest
+    # (A, B) at the exact maximum
     t = random_tournament(6, 11)
-    worst_num, worst_den, violations, pairs = 0, 1, 0, 0
+    worst = (0, 1, None)
+    violations, pairs = 0, 0
     for assign in itertools.product((0, 1, 2), repeat=6):
         a = vertex_mask([v for v in range(6) if assign[v] == 1])
         b = vertex_mask([v for v in range(6) if assign[v] == 2])
@@ -131,12 +141,121 @@ def test_sweep_agrees_with_direct_enumeration():
         den = 6 * bin(a).count("1") * bin(b).count("1")
         if num > den:
             violations += 1
-        if num * worst_den > worst_num * den:
-            worst_num, worst_den = num, den
+        cmp = num * worst[1] - worst[0] * den
+        if worst[2] is None or cmp > 0 or (cmp == 0 and (a, b) < worst[2]):
+            worst = (num, den, (a, b))
     r = exhaustive_mixing_check(t)
     assert r.pairs_checked == pairs
     assert r.violations == violations
-    assert r.max_numerator * worst_den == worst_num * r.max_denominator
+    assert (r.max_numerator, r.max_denominator, r.worst_pair) == worst
+
+
+def test_sweep_single_vertex_has_no_pairs():
+    r = exhaustive_mixing_check(Tournament(1, (0,)))
+    assert r == MixingReport("exhaustive", 0, 0, 0, 1, None)
+
+
+def _exhaustive_reference(t: Tournament) -> MixingReport:
+    """The Gray-code loop that the batched subset sums replaced: for each A,
+    the subsets of its complement in Gray-code order, O(1) per pair."""
+    n = t.n
+    srows = signed_adjacency(t).tolist()
+    pairs = 0
+    violations = 0
+    best_num, best_den = 0, 1
+    best_pair = None
+    for a_mask in range(1, 1 << n):
+        col = [0] * n  # col[j] = sum over i in A of sign(i -> j)
+        rest = a_mask
+        na = 0
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            na += 1
+            si = srows[i]
+            for j in range(n):
+                col[j] += si[j]
+        comp = [j for j in range(n) if not (a_mask >> j) & 1]
+        n_na = n * na
+        d = 0
+        b_mask = 0
+        size = 0
+        for g in range(1, 1 << len(comp)):
+            j = comp[(g & -g).bit_length() - 1]
+            bit = 1 << j
+            if b_mask & bit:
+                b_mask ^= bit
+                size -= 1
+                d -= col[j]
+            else:
+                b_mask |= bit
+                size += 1
+                d += col[j]
+            pairs += 1
+            den = n_na * size
+            dd = d * d if d > 0 else 0
+            if dd > den:
+                violations += 1
+            if dd:
+                if dd * best_den > best_num * den:
+                    best_num, best_den, best_pair = dd, den, (a_mask, b_mask)
+                elif dd * best_den == best_num * den and (a_mask, b_mask) < best_pair:
+                    best_num, best_den, best_pair = dd, den, (a_mask, b_mask)
+            elif best_num == 0 and (
+                best_pair is None or (a_mask, b_mask) < best_pair
+            ):
+                best_den, best_pair = den, (a_mask, b_mask)
+    return MixingReport("exhaustive", pairs, violations, best_num, best_den, best_pair)
+
+
+def _sweep_cases():
+    for n in range(1, 13):
+        yield pytest.param(random_tournament(n, 700 + n), id=f"random{n}")
+    for n in range(1, 12):
+        yield pytest.param(transitive(n), id=f"transitive{n}")
+    for n in (7, 11):
+        for signs in itertools.product((0, 1), repeat=n // 2):
+            yield pytest.param(
+                rotational(n, signs), id=f"rotational{n}-{''.join(map(str, signs))}"
+            )
+    for q in (3, 7, 11):
+        t = cayley_tournament(paley_set(make_field(q, 1)))
+        yield pytest.param(t, id=f"paley{q}")
+
+
+@pytest.mark.parametrize("t", list(_sweep_cases()))
+def test_sweep_matches_reference_loop(t):
+    assert exhaustive_mixing_check(t) == _exhaustive_reference(t)
+
+
+@pytest.mark.parametrize("slice_pairs", [1, 40])
+def test_sweep_folds_ties_across_slices(monkeypatch, t7, transitive8, slice_pairs):
+    # One row per slice (or a few rows, cut mid-batch), so the pairs tied at
+    # the maximum sit in different slices and complement-size batches.
+    monkeypatch.setattr(drt.discrepancy, "_SWEEP_SLICE_PAIRS", slice_pairs)
+    cases = [t7, transitive8, random_tournament(9, 9)]
+    cases += [rotational(7, signs) for signs in itertools.product((0, 1), repeat=3)]
+    for t in cases:
+        assert exhaustive_mixing_check(t) == _exhaustive_reference(t)
+
+
+def test_sweep_frozen_at_cap():
+    # Frozen from the Gray-code loop above, which takes about 20 s at n = 16.
+    t = random_tournament(16, 16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        r = exhaustive_mixing_check(t)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert r == MixingReport(
+        "exhaustive", 3**16 - 2**17 + 1, 50, 324, 288, (7714, 8576)
+    )
+    assert r.pairs_checked == 42_915_650
+    # measured: about 12 MiB
+    assert peak <= 64 * 2**20, f"n=16 sweep peaked at {peak} bytes"
 
 
 def test_sweep_flags_transitive_violations(transitive8):

@@ -23,7 +23,7 @@ from drt.ranking import (
 from drt.rng import derive_seed
 from drt.tourney import Tournament, cayley_tournament, random_tournament
 
-from conftest import transitive
+from conftest import rotational, transitive
 
 
 def cycle3() -> Tournament:
@@ -40,12 +40,6 @@ def all_tournaments(n: int):
             else:
                 rows[j] |= 1 << i
         yield Tournament(n, tuple(rows))
-
-
-def rotational(n: int, signs: tuple[int, ...]) -> Tournament:
-    """i -> i + d (mod n) for d = s or n - s, one of each pair {s, n - s}."""
-    steps = [s if keep else n - s for s, keep in zip(range(1, n // 2 + 1), signs)]
-    return Tournament(n, tuple(sum(1 << (i + d) % n for d in steps) for i in range(n)))
 
 
 # ------------------------------------------------------------------ counting
