@@ -46,7 +46,6 @@ from .groups import (
 from .ranking import (
     BaselineSummary,
     RankingResult,
-    brute_force_max,
     check_ranking,
     count_consistent,
     exact_max_consistent,
@@ -59,11 +58,9 @@ from .tourney import (
     Tournament,
     adjacency_matrix,
     cayley_tournament,
-    common_in_neighbors,
     common_out_neighbors,
     format_tournament,
     is_doubly_regular,
-    is_isomorphic_small,
     parse_tournament,
     random_tournament,
     signed_adjacency,
@@ -87,7 +84,6 @@ __all__ = [
     "affine_witness",
     "are_equivalent",
     "bound_is_vacuous",
-    "brute_force_max",
     "candidate_from_indices",
     "cayley_tournament",
     "check_mixing",
@@ -95,7 +91,6 @@ __all__ = [
     "check_sigma_gap",
     "check_theorem_bound",
     "classify",
-    "common_in_neighbors",
     "common_out_neighbors",
     "count_consistent",
     "derive_seed",
@@ -110,7 +105,6 @@ __all__ = [
     "gap_bound",
     "heuristic_rank",
     "is_doubly_regular",
-    "is_isomorphic_small",
     "is_shds",
     "is_skew",
     "make_field",

@@ -23,7 +23,6 @@ from pathlib import Path
 
 from . import __version__
 from .diffset import (
-    CandidateSet,
     classify,
     format_diffset,
     is_shds,
@@ -31,6 +30,7 @@ from .diffset import (
     parse_diffset,
 )
 from .discrepancy import (
+    SAMPLE_CAP,
     SWEEP_CAP,
     check_sigma_gap,
     check_theorem_bound,
@@ -60,22 +60,12 @@ PIPELINE_RANK_CAP = 20
 PIPELINE_SAMPLES = 20_000
 
 
-def _read_text(path: str, inputs: dict[str, str]) -> str:
+def _load(path: str, inputs: dict[str, str], parse):
+    """`parse` applied to the file's text; its sha256 goes into `inputs`."""
     data = Path(path).read_bytes()
     inputs[path] = hashlib.sha256(data).hexdigest()
-    return data.decode("utf-8")  # a UnicodeDecodeError is a ValueError
-
-
-def _load_diffset(path: str, inputs: dict[str, str]) -> CandidateSet:
     try:
-        return parse_diffset(_read_text(path, inputs))
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
-
-
-def _load_tournament(path: str, inputs: dict[str, str]) -> Tournament:
-    try:
-        return parse_tournament(_read_text(path, inputs))
+        return parse(data.decode("utf-8"))  # a UnicodeDecodeError is a ValueError
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
@@ -156,6 +146,14 @@ def _mixing_dict(t: Tournament, report) -> dict:
     }
 
 
+def _bounds_dict(t: Tournament, ranking, c_value: int) -> tuple[dict, bool]:
+    """The sigma_gap and theorem checks as report entries, and whether both hold."""
+    gap = check_sigma_gap(t, ranking)
+    theorem = check_theorem_bound(t, c_value)
+    results = {"sigma_gap": gap._asdict(), "theorem": theorem._asdict()}
+    return results, gap.holds and theorem.holds
+
+
 # ---------------------------------------------------------------- diffset
 
 
@@ -168,7 +166,7 @@ def cmd_diffset_paley(args) -> int:
 def cmd_diffset_verify(args) -> int:
     started = time.perf_counter()
     inputs: dict[str, str] = {}
-    d = _load_diffset(args.file, inputs)
+    d = _load(args.file, inputs, parse_diffset)
     verdict = is_shds(d)
     results = {
         "group": format_group_spec(d.group.moduli),
@@ -184,7 +182,7 @@ def cmd_diffset_verify(args) -> int:
 def cmd_diffset_classify(args) -> int:
     started = time.perf_counter()
     inputs: dict[str, str] = {}
-    sets = [_load_diffset(path, inputs) for path in args.files]
+    sets = [_load(path, inputs, parse_diffset) for path in args.files]
     groups = {format_group_spec(d.group.moduli) for d in sets}
     if len(groups) > 1:
         raise ValueError(f"all sets must share one group, got {sorted(groups)}")
@@ -203,7 +201,7 @@ def cmd_diffset_classify(args) -> int:
 
 def cmd_tourney_cayley(args) -> int:
     inputs: dict[str, str] = {}
-    d = _load_diffset(args.file, inputs)
+    d = _load(args.file, inputs, parse_diffset)
     try:
         t = cayley_tournament(d)
     except ValueError as e:
@@ -216,7 +214,7 @@ def cmd_tourney_cayley(args) -> int:
 def cmd_tourney_verify(args) -> int:
     started = time.perf_counter()
     inputs: dict[str, str] = {}
-    t = _load_tournament(args.file, inputs)
+    t = _load(args.file, inputs, parse_tournament)
     dr = is_doubly_regular(t)
     gram = verify_gram_identities(t)
     results = {
@@ -240,8 +238,8 @@ def cmd_tourney_random(args) -> int:
 def cmd_rank_exact(args) -> int:
     started = time.perf_counter()
     inputs: dict[str, str] = {}
-    t = _load_tournament(args.file, inputs)
-    r = exact_max_consistent(t, cap=args.cap)
+    t = _load(args.file, inputs, parse_tournament)
+    r = exact_max_consistent(t)
     _emit("rank exact", inputs, _rank_dict(t, r), started, args.pretty)
     return 0
 
@@ -249,7 +247,7 @@ def cmd_rank_exact(args) -> int:
 def cmd_rank_heuristic(args) -> int:
     started = time.perf_counter()
     inputs: dict[str, str] = {}
-    t = _load_tournament(args.file, inputs)
+    t = _load(args.file, inputs, parse_tournament)
     r = heuristic_rank(t, strategy=args.strategy)
     _emit("rank heuristic", inputs, _rank_dict(t, r), started, args.pretty)
     return 0
@@ -257,7 +255,7 @@ def cmd_rank_heuristic(args) -> int:
 
 def cmd_rank_baseline(args) -> int:
     started = time.perf_counter()
-    summary = random_baseline(args.n, args.trials, args.seed, cap=args.cap)
+    summary = random_baseline(args.n, args.trials, args.seed)
     results = {
         "n": summary.n,
         "trials": summary.trials,
@@ -279,8 +277,8 @@ def cmd_rank_baseline(args) -> int:
 def cmd_discrepancy_sweep(args) -> int:
     started = time.perf_counter()
     inputs: dict[str, str] = {}
-    t = _load_tournament(args.file, inputs)
-    report = exhaustive_mixing_check(t, cap=args.cap)
+    t = _load(args.file, inputs, parse_tournament)
+    report = exhaustive_mixing_check(t)
     _emit("discrepancy sweep", inputs, _mixing_dict(t, report), started, args.pretty)
     return 1 if report.violations else 0
 
@@ -288,7 +286,7 @@ def cmd_discrepancy_sweep(args) -> int:
 def cmd_discrepancy_sample(args) -> int:
     started = time.perf_counter()
     inputs: dict[str, str] = {}
-    t = _load_tournament(args.file, inputs)
+    t = _load(args.file, inputs, parse_tournament)
     report = sampled_mixing_check(t, args.samples, args.seed)
     results = _mixing_dict(t, report)
     results["seed"] = args.seed
@@ -299,28 +297,21 @@ def cmd_discrepancy_sample(args) -> int:
 def cmd_discrepancy_bounds(args) -> int:
     started = time.perf_counter()
     inputs: dict[str, str] = {}
-    t = _load_tournament(args.file, inputs)
-    if t.n <= args.cap:
-        r = exact_max_consistent(t, cap=args.cap)
+    t = _load(args.file, inputs, parse_tournament)
+    if t.n <= DP_CAP:
+        r = exact_max_consistent(t)
     else:
         r = heuristic_rank(t, strategy="local-search")
     c_value = args.c_value if args.c_value is not None else r.value
-    gap = check_sigma_gap(t, r.ranking)
-    theorem = check_theorem_bound(t, c_value)
+    bounds, holds = _bounds_dict(t, r.ranking, c_value)
     results = {
         "n": t.n,
         "c_value": c_value,
         "c_method": "given" if args.c_value is not None else r.method,
-        "sigma_gap": {"gap": gap.gap, "bound": gap.bound, "holds": gap.holds},
-        "theorem": {
-            "lhs": theorem.lhs,
-            "rhs": theorem.rhs,
-            "holds": theorem.holds,
-            "vacuous": theorem.vacuous,
-        },
+        **bounds,
     }
     _emit("discrepancy bounds", inputs, results, started, args.pretty)
-    return 0 if gap.holds and theorem.holds else 1
+    return 0 if holds else 1
 
 
 # ---------------------------------------------------------------- pipeline
@@ -328,6 +319,15 @@ def cmd_discrepancy_bounds(args) -> int:
 
 def cmd_pipeline_paley(args) -> int:
     started = time.perf_counter()
+    # Every q above SWEEP_CAP is sampled, and the sampler stops at SAMPLE_CAP:
+    # refuse larger q before building anything.  With p >= 2 the product at
+    # least doubles per step, so an absurd --k never forms p**k.
+    q = 1
+    for _ in range(args.k if args.p >= 2 else 0):
+        q *= args.p
+        if q > SAMPLE_CAP:
+            raise ValueError(f"pipeline paley supports q = p^k <= {SAMPLE_CAP},"
+                             f" got p = {args.p}, k = {args.k}")
     field = make_field(args.p, args.k)
     d = paley_set(field)
     n = field.order
@@ -356,23 +356,16 @@ def cmd_pipeline_paley(args) -> int:
             "lower_bound": _rank_dict(t, r),
         }
 
-    if n <= args.sweep_cap:
-        mixing = exhaustive_mixing_check(t, cap=args.sweep_cap)
+    if n <= SWEEP_CAP:
+        mixing = exhaustive_mixing_check(t)
     else:
         mixing = sampled_mixing_check(t, args.samples, args.seed)
     ok = ok and mixing.violations == 0
     results["mixing"] = _mixing_dict(t, mixing)
 
-    gap = check_sigma_gap(t, r.ranking)
-    theorem = check_theorem_bound(t, r.value)
-    ok = ok and gap.holds and theorem.holds
-    results["sigma_gap"] = {"gap": gap.gap, "bound": gap.bound, "holds": gap.holds}
-    results["theorem"] = {
-        "lhs": theorem.lhs,
-        "rhs": theorem.rhs,
-        "holds": theorem.holds,
-        "vacuous": theorem.vacuous,
-    }
+    bounds, holds = _bounds_dict(t, r.ranking, r.value)
+    ok = ok and holds
+    results.update(bounds)
     _emit("pipeline paley", {}, results, started, args.pretty)
     return 0 if ok else 1
 
@@ -437,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     rsub = rank.add_subparsers(dest="subcommand", required=True)
     p = rsub.add_parser("exact", help="exact optimum by subset DP")
     p.add_argument("file", help="tournament file")
-    p.add_argument("--cap", type=int, default=DP_CAP)
     _add_pretty(p)
     p.set_defaults(func=cmd_rank_exact)
     p = rsub.add_parser("heuristic", help="out-degree order or local search")
@@ -451,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=DP_CAP)
     _add_pretty(p)
     p.set_defaults(func=cmd_rank_baseline)
 
@@ -459,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     csub = disc.add_subparsers(dest="subcommand", required=True)
     p = csub.add_parser("sweep", help="every (A, B, neither) assignment")
     p.add_argument("file", help="tournament file")
-    p.add_argument("--cap", type=int, default=SWEEP_CAP)
     _add_pretty(p)
     p.set_defaults(func=cmd_discrepancy_sweep)
     p = csub.add_parser("sample", help="seeded random assignments")
@@ -472,8 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="tournament file")
     p.add_argument("--c-value", type=int, default=None,
                    help="use this C(T) value (or lower bound) instead of computing one")
-    p.add_argument("--cap", type=int, default=DP_CAP,
-                   help="largest n ranked exactly (default 24)")
     _add_pretty(p)
     p.set_defaults(func=cmd_discrepancy_bounds)
 
@@ -486,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampled mixing checks above the sweep cap (default 20000)")
     p.add_argument("--rank-cap", type=int, default=PIPELINE_RANK_CAP,
                    help="largest n ranked exactly in the pipeline (default 20)")
-    p.add_argument("--sweep-cap", type=int, default=SWEEP_CAP)
     p.add_argument("--seed", type=int, default=0)
     _add_pretty(p)
     p.set_defaults(func=cmd_pipeline_paley)

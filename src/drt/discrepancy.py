@@ -20,13 +20,13 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .ranking import check_ranking, count_consistent, reverse_ranking
+from .ranking import count_consistent
 from .rng import trit_block
 from .tourney import Tournament, mask_vertices, signed_adjacency
 
 SWEEP_CAP = 16
 _SWEEP_SLICE_PAIRS = 1 << 16  # pairs per sweep matmul; bounds its temporaries
-_SAMPLED_N_CAP = 900  # keeps the int64 cross-multiplied fraction compares exact
+SAMPLE_CAP = 900  # keeps the int64 cross-multiplied fraction compares exact
 
 # A running worst pair: (d_+^2, n |A| |B|, (A, B)), with no pair before the first.
 _Best = tuple[int, int, Optional[tuple[int, int]]]
@@ -111,11 +111,11 @@ class MixingReport:
         return self.max_numerator / self.max_denominator
 
 
-def exhaustive_mixing_check(t: Tournament, cap: int = SWEEP_CAP) -> MixingReport:
+def exhaustive_mixing_check(t: Tournament) -> MixingReport:
     """Check every assignment of vertices to (A, B, neither) with A, B nonempty.
 
-    That is 3^n - 2^(n+1) + 1 ordered pairs; n is capped because of it, at
-    `cap` but never above SWEEP_CAP.
+    That is 3^n - 2^(n+1) + 1 ordered pairs; n is capped at SWEEP_CAP because
+    of it.
 
     The pairs are batched subset sums.  col[A][j] = sum over i in A of
     sign(i -> j) is filled for every A by doubling, one numpy op per vertex.
@@ -137,11 +137,10 @@ def exhaustive_mixing_check(t: Tournament, cap: int = SWEEP_CAP) -> MixingReport
     meets the running best as in `sampled_mixing_check`.
     """
     n = t.n
-    cap = min(cap, SWEEP_CAP)
-    if n > cap:
+    if n > SWEEP_CAP:
         raise ValueError(
-            f"exhaustive sweep capped at n = {cap} (3^n assignments), got n = {n};"
-            f" use sampled_mixing_check instead"
+            f"exhaustive sweep capped at n = {SWEEP_CAP} (3^n assignments),"
+            f" got n = {n}; use sampled_mixing_check instead"
         )
     signed = signed_adjacency(t).astype(np.int8)
     col = np.zeros((1 << n, n), dtype=np.int8)  # |col| <= n - 1 <= 15
@@ -232,8 +231,8 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
     n = t.n
     if n < 2:
         raise ValueError("sampling needs at least two vertices")
-    if n > _SAMPLED_N_CAP:
-        raise ValueError(f"sampled check supports n <= {_SAMPLED_N_CAP}, got {n}")
+    if n > SAMPLE_CAP:
+        raise ValueError(f"sampled check supports n <= {SAMPLE_CAP}, got {n}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     # Every partial sum of d is an integer of size at most n^2 < 2^53, so the
@@ -292,13 +291,8 @@ class GapCheck(NamedTuple):
 
 def check_sigma_gap(t: Tournament, ranking) -> GapCheck:
     """Gap between a ranking and its mirror against the n^1.5 log2(2n) bound."""
-    ranking = check_ranking(t, ranking)
-    c = count_consistent(t, ranking)
-    c_rev = count_consistent(t, reverse_ranking(ranking))
-    total = t.n * (t.n - 1) // 2
-    if c + c_rev != total:  # complementary counts; cannot fail
-        raise AssertionError(f"count identity broken: {c} + {c_rev} != {total}")
-    gap = c - c_rev
+    # Each edge is consistent with exactly one of the two: c_rev = binom(n,2) - c.
+    gap = 2 * count_consistent(t, ranking) - t.n * (t.n - 1) // 2
     bound = gap_bound(t.n)
     return GapCheck(gap, bound, gap <= bound)
 

@@ -1,4 +1,4 @@
-"""Rankings that maximize consistent edges: exact DP, brute force, heuristics.
+"""Rankings that maximize consistent edges: exact DP and heuristics.
 
 A ranking assigns each vertex a rank 1..n (rank 1 first); an edge x -> y is
 consistent when x is ranked before y.  The exact optimum over all n! rankings
@@ -20,7 +20,6 @@ backtracks through the table, breaking ties toward the smallest vertex index.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,6 @@ from .rng import derive_seed
 from .tourney import Tournament, random_tournament, signed_adjacency
 
 DP_CAP = 24
-BRUTE_CAP = 9
 
 
 @dataclass(frozen=True)
@@ -38,8 +36,8 @@ class RankingResult:
     """A ranking plus its consistent-edge count.
 
     `ranking[v]` is the rank of vertex v (1-based).  `work` counts the states
-    or candidates the method examined: 2^n subsets for the DP, n! rankings for
-    brute force, n for the out-degree pass, evaluated moves for local search.
+    or candidates the method examined: 2^n subsets for the DP, n for the
+    out-degree pass, evaluated moves for local search.
     """
 
     value: int
@@ -99,12 +97,11 @@ def dp_table_nbytes(n: int) -> int:
     return 2 << n
 
 
-def _check_dp_cap(n: int, cap: int) -> None:
-    """Refuse n above `cap`, and above DP_CAP whatever `cap` says."""
-    cap = min(cap, DP_CAP)
-    if n > cap:
+def _check_dp_cap(n: int) -> None:
+    """Refuse n above DP_CAP before anything is allocated."""
+    if n > DP_CAP:
         raise ValueError(
-            f"exact DP capped at n = {cap} (table would need"
+            f"exact DP capped at n = {DP_CAP} (table would need"
             f" {dp_table_nbytes(n)} bytes); use heuristic_rank for n = {n}"
         )
 
@@ -169,14 +166,14 @@ def _dp_table(t: Tournament) -> np.ndarray:
     return best.reshape(-1)
 
 
-def exact_max_consistent(t: Tournament, cap: int = DP_CAP) -> RankingResult:
+def exact_max_consistent(t: Tournament) -> RankingResult:
     """Exact maximum consistency by subset DP; see the module docstring.
 
-    Raises for n above `cap` or DP_CAP — the table doubles per vertex, so use
-    the heuristics beyond it.
+    Raises for n above DP_CAP — the table doubles per vertex, so use the
+    heuristics beyond it.
     """
     n = t.n
-    _check_dp_cap(n, cap)
+    _check_dp_cap(n)
     best = _dp_table(t)
     size = best.size
     value = int(best[size - 1])
@@ -199,38 +196,6 @@ def exact_max_consistent(t: Tournament, cap: int = DP_CAP) -> RankingResult:
         else:  # unreachable: some vertex always attains the max
             raise AssertionError("DP backtrack found no predecessor")
     return _result(t, tuple(ranks), "exact-dp", size, claimed=value)
-
-
-def brute_force_max(t: Tournament, cap: int = BRUTE_CAP) -> RankingResult:
-    """Reference optimum by enumerating all n! rank sequences.
-
-    Kept deliberately independent of the DP (it is the oracle for it).  Ties
-    resolve to the lexicographically least rank sequence because candidates
-    are generated in lex order and only strict improvements replace.
-    """
-    n = t.n
-    if n > cap:
-        raise ValueError(f"brute force capped at n = {cap}, got n = {n}")
-    rows = t.rows
-    best = -1
-    best_ranking: tuple[int, ...] | None = None
-    work = 0
-    order = [0] * n
-    for ranking in itertools.permutations(range(1, n + 1)):
-        work += 1
-        for v, r in enumerate(ranking):
-            order[r - 1] = v
-        later = 0
-        count = 0
-        for i in range(n - 1, -1, -1):
-            v = order[i]
-            count += (rows[v] & later).bit_count()
-            later |= 1 << v
-        if count > best:
-            best = count
-            best_ranking = ranking
-    assert best_ranking is not None
-    return _result(t, best_ranking, "brute-force", work, claimed=best)
 
 
 def _order_to_ranking(order: list[int]) -> tuple[int, ...]:
@@ -316,20 +281,18 @@ class BaselineSummary:
     max_epsilon: float  # max_ratio - 1/2: the observed excess over half
 
 
-def random_baseline(
-    n: int, trials: int, seed: int, cap: int = DP_CAP
-) -> BaselineSummary:
+def random_baseline(n: int, trials: int, seed: int) -> BaselineSummary:
     """Distribution of C(T) over seeded random tournaments (exact DP per trial)."""
     if n < 2:
         raise ValueError(f"baseline needs at least two vertices, got n = {n}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    _check_dp_cap(n, cap)  # before any tournament is drawn
+    _check_dp_cap(n)  # before any tournament is drawn
     total = n * (n - 1) // 2
     values = []
     for i in range(trials):
         t = random_tournament(n, derive_seed(seed, i))
-        values.append(exact_max_consistent(t, cap=cap).value)
+        values.append(exact_max_consistent(t).value)
     ratios = [v / total for v in values]
     return BaselineSummary(
         n=n,

@@ -12,10 +12,10 @@ The generator is SplitMix64 run in counter mode: draw ``i`` of the stream for
     MIX_MULT_2   = 0x94D049BB133111EB
 
 Counter mode (rather than a chained state) is what lets the numpy block
-functions reproduce the scalar stream exactly; the equivalence is covered by
-tests.  Derived quantities keep their documented bias bounds: coins use the
-top bit (exact), trits use ``floor(3 * hi32 / 2**32)`` whose bias is below
-2**-32 and therefore irrelevant for statistical sampling.
+function `trit_block` reproduce the scalar stream exactly; the equivalence is
+covered by tests.  Derived quantities keep their documented bias bounds:
+coins use the top bit (exact), trits use ``floor(3 * hi32 / 2**32)`` whose
+bias is below 2**-32 and therefore irrelevant for statistical sampling.
 """
 
 from __future__ import annotations
@@ -76,19 +76,6 @@ def _finalize_in_place(z: np.ndarray, scratch: np.ndarray) -> None:
     z *= np.uint64(MIX_MULT_2)
     np.right_shift(z, 31, out=scratch)
     z ^= scratch
-
-
-def u64_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Draws `start` .. `start+count-1` of the stream, as a uint64 array.
-
-    Bit-identical to `count` successive SplitMix64(seed, counter=start).u64()
-    calls.
-    """
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z *= np.uint64(GOLDEN_GAMMA)
-    z += np.uint64(seed & _MASK64)
-    _finalize_in_place(z, np.empty_like(z))
-    return z
 
 
 def trit_block(seed: int, start: int, count: int) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -109,13 +108,6 @@ def common_out_neighbors(t: Tournament, x: int, y: int) -> set[int]:
     if x == y:
         raise ValueError(f"need two distinct vertices, got {x} twice")
     return set(mask_vertices(t.rows[x] & t.rows[y]))
-
-
-def common_in_neighbors(t: Tournament, x: int, y: int) -> set[int]:
-    """Vertices beating both x and y."""
-    if x == y:
-        raise ValueError(f"need two distinct vertices, got {x} twice")
-    return set(mask_vertices(t.in_rows[x] & t.in_rows[y]))
 
 
 def mask_vertices(mask: int) -> list[int]:
@@ -239,50 +231,6 @@ def random_tournament(n: int, seed: int) -> Tournament:
             else:
                 rows[j] |= 1 << i
     return Tournament(n, tuple(rows))
-
-
-def is_isomorphic_small(
-    t1: Tournament, t2: Tournament, cap: int = 12
-) -> Optional[tuple[int, ...]]:
-    """Exhaustive isomorphism search for small n; returns the least witness.
-
-    The witness maps vertex v of `t1` to witness[v] in `t2`; among all
-    isomorphisms it is lexicographically least as a tuple, because vertices
-    are mapped in order with candidate images tried ascending.  Returns None
-    when the tournaments are not isomorphic.
-    """
-    if t1.n != t2.n:
-        return None
-    n = t1.n
-    if n > cap:
-        raise ValueError(f"isomorphism search capped at n = {cap}, got n = {n}")
-    deg1 = [t1.out_degree(v) for v in range(n)]
-    deg2 = [t2.out_degree(v) for v in range(n)]
-    if sorted(deg1) != sorted(deg2):
-        return None
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if used[w] or deg2[w] != deg1[v]:
-                continue
-            if all(
-                t1.has_edge(u, v) == t2.has_edge(mapping[u], w) for u in range(v)
-            ):
-                mapping[v] = w
-                used[w] = True
-                if extend(v + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    if extend(0):
-        return tuple(mapping)
-    return None
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,23 @@
+"""Shared fixtures, and the reference oracles that only tests call.
+
+The oracles are slow by design and share no code with what they check:
+`brute_force_max` for the exact DP, `is_isomorphic_small` for the
+equivalence engine, `common_in_neighbors` for the double-regularity count.
+"""
+
 from __future__ import annotations
+
+import itertools
+from typing import Optional
 
 import pytest
 
 from drt.diffset import paley_set
 from drt.groups import make_field
-from drt.tourney import Tournament, cayley_tournament
+from drt.ranking import RankingResult, _result
+from drt.tourney import Tournament, cayley_tournament, mask_vertices
+
+BRUTE_CAP = 9
 
 
 @pytest.fixture(scope="session")
@@ -53,3 +66,89 @@ def rotational(n: int, signs: tuple[int, ...]) -> Tournament:
 @pytest.fixture(scope="session")
 def transitive8() -> Tournament:
     return transitive(8)
+
+
+# ------------------------------------------------------------------ oracles
+
+
+def brute_force_max(t: Tournament, cap: int = BRUTE_CAP) -> RankingResult:
+    """Reference optimum by enumerating all n! rank sequences.
+
+    Kept deliberately independent of the DP (it is the oracle for it).  Ties
+    resolve to the lexicographically least rank sequence because candidates
+    are generated in lex order and only strict improvements replace.
+    """
+    n = t.n
+    if n > cap:
+        raise ValueError(f"brute force capped at n = {cap}, got n = {n}")
+    rows = t.rows
+    best = -1
+    best_ranking: tuple[int, ...] | None = None
+    work = 0
+    order = [0] * n
+    for ranking in itertools.permutations(range(1, n + 1)):
+        work += 1
+        for v, r in enumerate(ranking):
+            order[r - 1] = v
+        later = 0
+        count = 0
+        for i in range(n - 1, -1, -1):
+            v = order[i]
+            count += (rows[v] & later).bit_count()
+            later |= 1 << v
+        if count > best:
+            best = count
+            best_ranking = ranking
+    assert best_ranking is not None
+    return _result(t, best_ranking, "brute-force", work, claimed=best)
+
+
+def common_in_neighbors(t: Tournament, x: int, y: int) -> set[int]:
+    """Vertices beating both x and y."""
+    if x == y:
+        raise ValueError(f"need two distinct vertices, got {x} twice")
+    return set(mask_vertices(t.in_rows[x] & t.in_rows[y]))
+
+
+def is_isomorphic_small(
+    t1: Tournament, t2: Tournament, cap: int = 12
+) -> Optional[tuple[int, ...]]:
+    """Exhaustive isomorphism search for small n; returns the least witness.
+
+    The witness maps vertex v of `t1` to witness[v] in `t2`; among all
+    isomorphisms it is lexicographically least as a tuple, because vertices
+    are mapped in order with candidate images tried ascending.  Returns None
+    when the tournaments are not isomorphic.
+    """
+    if t1.n != t2.n:
+        return None
+    n = t1.n
+    if n > cap:
+        raise ValueError(f"isomorphism search capped at n = {cap}, got n = {n}")
+    deg1 = [t1.out_degree(v) for v in range(n)]
+    deg2 = [t2.out_degree(v) for v in range(n)]
+    if sorted(deg1) != sorted(deg2):
+        return None
+    mapping = [-1] * n
+    used = [False] * n
+
+    def extend(v: int) -> bool:
+        if v == n:
+            return True
+        for w in range(n):
+            if used[w] or deg2[w] != deg1[v]:
+                continue
+            if all(
+                t1.has_edge(u, v) == t2.has_edge(mapping[u], w) for u in range(v)
+            ):
+                mapping[v] = w
+                used[w] = True
+                if extend(v + 1):
+                    return True
+                used[w] = False
+                mapping[v] = -1
+        return False
+
+    if extend(0):
+        return tuple(mapping)
+    return None

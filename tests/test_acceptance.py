@@ -36,7 +36,6 @@ from drt.discrepancy import (
 )
 from drt.groups import make_field, make_group
 from drt.ranking import (
-    brute_force_max,
     count_consistent,
     dp_table_nbytes,
     exact_max_consistent,
@@ -49,12 +48,11 @@ from drt.tourney import (
     Tournament,
     cayley_tournament,
     is_doubly_regular,
-    is_isomorphic_small,
     random_tournament,
     verify_gram_identities,
 )
 
-from conftest import transitive
+from conftest import brute_force_max, is_isomorphic_small, transitive
 
 PIPELINE_ARGS = [
     ["pipeline", "paley", "--p", "3"],

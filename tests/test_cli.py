@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -132,14 +133,19 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path):
         ["pipeline", "paley", "--p", "31", "--samples", "0"],
         ["rank", "baseline", "--n", "1"],
         ["tourney", "random", "--n", "5", "-o", str(tmp_path / "missing" / "x")],
-        ["rank", "exact", str(t25), "--cap", "40"],  # over DP_CAP = 24
-        ["discrepancy", "sweep", str(t17), "--cap", "20"],  # over SWEEP_CAP = 16
+        ["rank", "exact", str(t25)],  # over DP_CAP = 24
+        ["discrepancy", "sweep", str(t17)],  # over SWEEP_CAP = 16
+        # over the sampled check's n <= 900: refused before the field is built
+        ["pipeline", "paley", "--p", "907"],
+        ["pipeline", "paley", "--p", "3", "--k", str(10**9)],
     ]
     for argv in cases:
+        started = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "drt.cli", *argv],
             capture_output=True, text=True, timeout=60,
         )
+        assert time.perf_counter() - started < 5, argv
         assert proc.returncode == 2, (argv, proc.stderr)
         assert proc.stderr.startswith("drt: error:"), (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, argv
@@ -224,6 +230,19 @@ def test_discrepancy_sample_and_bounds(capsys, tmp_path):
     )
     assert rep["results"]["c_method"] == "given"
     assert rep["results"]["c_value"] == 100
+
+
+def test_discrepancy_bounds_past_dp_cap_uses_local_search(capsys, tmp_path):
+    dpath, tpath = tmp_path / "d.txt", tmp_path / "t.txt"
+    main(["diffset", "paley", "--p", "3", "--k", "3", "-o", str(dpath)])
+    main(["tourney", "cayley", str(dpath), "-o", str(tpath)])
+    code, rep = report_of(capsys, ["discrepancy", "bounds", str(tpath)])
+    assert code == 0
+    res = rep["results"]
+    assert res["n"] == 27
+    assert res["c_method"] == "local-search"
+    assert 2 * res["c_value"] >= 27 * 26 // 2
+    assert res["sigma_gap"]["holds"] and res["theorem"]["holds"]
 
 
 def test_classify_cli(capsys, tmp_path):

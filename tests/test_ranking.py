@@ -11,7 +11,6 @@ from drt.groups import make_field
 from drt.ranking import (
     RankingResult,
     _dp_table,
-    brute_force_max,
     check_ranking,
     count_consistent,
     dp_table_nbytes,
@@ -23,7 +22,7 @@ from drt.ranking import (
 from drt.rng import derive_seed
 from drt.tourney import Tournament, cayley_tournament, random_tournament
 
-from conftest import rotational, transitive
+from conftest import brute_force_max, rotational, transitive
 
 
 def cycle3() -> Tournament:

@@ -10,7 +10,6 @@ from drt.rng import (
     derive_seed,
     mix64,
     trit_block,
-    u64_block,
 )
 
 SEEDS = [0, 1, 7, 42, 2**63, 2**64 - 1]
@@ -19,15 +18,15 @@ SEEDS = [0, 1, 7, 42, 2**63, 2**64 - 1]
 @pytest.mark.parametrize("seed", SEEDS)
 def test_scalar_and_block_streams_agree(seed):
     rng = SplitMix64(seed)
-    scalar = [rng.u64() for _ in range(200)]
-    block = u64_block(seed, 0, 200)
+    scalar = [rng.trit() for _ in range(200)]
+    block = trit_block(seed, 0, 200)
     assert scalar == list(block)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_block_offsets_index_into_the_same_stream(seed):
-    whole = list(u64_block(seed, 0, 100))
-    assert list(u64_block(seed, 37, 50)) == whole[37:87]
+    whole = list(trit_block(seed, 0, 100))
+    assert list(trit_block(seed, 37, 50)) == whole[37:87]
 
 
 @given(
@@ -37,8 +36,10 @@ def test_block_offsets_index_into_the_same_stream(seed):
     b=st.integers(min_value=0, max_value=64),
 )
 def test_block_concatenation(seed, start, a, b):
-    joined = np.concatenate([u64_block(seed, start, a), u64_block(seed, start + a, b)])
-    assert list(joined) == list(u64_block(seed, start, a + b))
+    joined = np.concatenate(
+        [trit_block(seed, start, a), trit_block(seed, start + a, b)]
+    )
+    assert list(joined) == list(trit_block(seed, start, a + b))
 
 
 def test_trits_match_scalar_path():
@@ -83,4 +84,4 @@ def test_derive_seed_separates_streams():
 def test_seed_wraps_modulo_2_to_64():
     # both paths mask the seed the same way, so wide seeds stay coherent
     assert SplitMix64(-1).u64() == SplitMix64(2**64 - 1).u64()
-    assert list(u64_block(-1, 0, 4)) == list(u64_block(2**64 - 1, 0, 4))
+    assert list(trit_block(-1, 0, 64)) == list(trit_block(2**64 - 1, 0, 64))

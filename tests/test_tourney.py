@@ -18,18 +18,16 @@ from drt.tourney import (
     Tournament,
     adjacency_matrix,
     cayley_tournament,
-    common_in_neighbors,
     common_out_neighbors,
     format_tournament,
     is_doubly_regular,
-    is_isomorphic_small,
     parse_tournament,
     random_tournament,
     signed_adjacency,
     verify_gram_identities,
 )
 
-from conftest import transitive
+from conftest import common_in_neighbors, is_isomorphic_small, transitive
 
 Z7 = make_group((7,))
 
