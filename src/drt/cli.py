@@ -4,6 +4,9 @@ Report-emitting subcommands print a single JSON object to stdout:
 
     {schema_version, tool_version, command, inputs, results, wall_time_ms}
 
+A command returns only its `results` and exit code; `main` times it, records
+the files it reads and wraps the results in this envelope.
+
 `inputs` maps each input path to its sha256; `results` is deterministic given
 the same inputs and seed (wall_time_ms is the one field outside that
 contract).  `--pretty` renders the same payload as aligned text.  Exit codes:
@@ -20,6 +23,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
 from .diffset import (
@@ -58,6 +62,9 @@ from .tourney import (
 
 PIPELINE_RANK_CAP = 20
 PIPELINE_SAMPLES = 20_000
+
+# A command's report `results` (None when it writes a file instead) and exit code.
+Outcome = tuple[Optional[dict], int]
 
 
 def _load(path: str, inputs: dict[str, str], parse):
@@ -157,15 +164,13 @@ def _bounds_dict(t: Tournament, ranking, c_value: int) -> tuple[dict, bool]:
 # ---------------------------------------------------------------- diffset
 
 
-def cmd_diffset_paley(args) -> int:
+def cmd_diffset_paley(args, inputs: dict[str, str]) -> Outcome:
     d = paley_set(make_field(args.p, args.k))
     _write_output(format_diffset(d), args.output)
-    return 0
+    return None, 0
 
 
-def cmd_diffset_verify(args) -> int:
-    started = time.perf_counter()
-    inputs: dict[str, str] = {}
+def cmd_diffset_verify(args, inputs: dict[str, str]) -> Outcome:
     d = _load(args.file, inputs, parse_diffset)
     verdict = is_shds(d)
     results = {
@@ -175,13 +180,10 @@ def cmd_diffset_verify(args) -> int:
         "indices": list(d.indices),
         "shds": _verdict_dict(verdict),
     }
-    _emit("diffset verify", inputs, results, started, args.pretty)
-    return 0 if verdict.ok else 1
+    return results, 0 if verdict.ok else 1
 
 
-def cmd_diffset_classify(args) -> int:
-    started = time.perf_counter()
-    inputs: dict[str, str] = {}
+def cmd_diffset_classify(args, inputs: dict[str, str]) -> Outcome:
     sets = [_load(path, inputs, parse_diffset) for path in args.files]
     groups = {format_group_spec(d.group.moduli) for d in sets}
     if len(groups) > 1:
@@ -192,28 +194,24 @@ def cmd_diffset_classify(args) -> int:
         "class_count": len(classes),
         "classes": classes,
     }
-    _emit("diffset classify", inputs, results, started, args.pretty)
-    return 0
+    return results, 0
 
 
 # ---------------------------------------------------------------- tourney
 
 
-def cmd_tourney_cayley(args) -> int:
-    inputs: dict[str, str] = {}
+def cmd_tourney_cayley(args, inputs: dict[str, str]) -> Outcome:
     d = _load(args.file, inputs, parse_diffset)
     try:
         t = cayley_tournament(d)
     except ValueError as e:
         print(f"drt: {e}", file=sys.stderr)
-        return 1
+        return None, 1
     _write_output(format_tournament(t), args.output)
-    return 0
+    return None, 0
 
 
-def cmd_tourney_verify(args) -> int:
-    started = time.perf_counter()
-    inputs: dict[str, str] = {}
+def cmd_tourney_verify(args, inputs: dict[str, str]) -> Outcome:
     t = _load(args.file, inputs, parse_tournament)
     dr = is_doubly_regular(t)
     gram = verify_gram_identities(t)
@@ -222,39 +220,31 @@ def cmd_tourney_verify(args) -> int:
         "doubly_regular": _verdict_dict(dr),
         "gram": _verdict_dict(gram),
     }
-    _emit("tourney verify", inputs, results, started, args.pretty)
-    return 0 if dr.ok and gram.ok else 1
+    return results, 0 if dr.ok and gram.ok else 1
 
 
-def cmd_tourney_random(args) -> int:
+def cmd_tourney_random(args, inputs: dict[str, str]) -> Outcome:
     t = random_tournament(args.n, args.seed)
     _write_output(format_tournament(t), args.output)
-    return 0
+    return None, 0
 
 
 # ---------------------------------------------------------------- rank
 
 
-def cmd_rank_exact(args) -> int:
-    started = time.perf_counter()
-    inputs: dict[str, str] = {}
+def cmd_rank_exact(args, inputs: dict[str, str]) -> Outcome:
     t = _load(args.file, inputs, parse_tournament)
     r = exact_max_consistent(t)
-    _emit("rank exact", inputs, _rank_dict(t, r), started, args.pretty)
-    return 0
+    return _rank_dict(t, r), 0
 
 
-def cmd_rank_heuristic(args) -> int:
-    started = time.perf_counter()
-    inputs: dict[str, str] = {}
+def cmd_rank_heuristic(args, inputs: dict[str, str]) -> Outcome:
     t = _load(args.file, inputs, parse_tournament)
     r = heuristic_rank(t, strategy=args.strategy)
-    _emit("rank heuristic", inputs, _rank_dict(t, r), started, args.pretty)
-    return 0
+    return _rank_dict(t, r), 0
 
 
-def cmd_rank_baseline(args) -> int:
-    started = time.perf_counter()
+def cmd_rank_baseline(args, inputs: dict[str, str]) -> Outcome:
     summary = random_baseline(args.n, args.trials, args.seed)
     results = {
         "n": summary.n,
@@ -267,36 +257,27 @@ def cmd_rank_baseline(args) -> int:
         "max_ratio": summary.max_ratio,
         "max_epsilon": summary.max_epsilon,
     }
-    _emit("rank baseline", {}, results, started, args.pretty)
-    return 0
+    return results, 0
 
 
 # ---------------------------------------------------------------- discrepancy
 
 
-def cmd_discrepancy_sweep(args) -> int:
-    started = time.perf_counter()
-    inputs: dict[str, str] = {}
+def cmd_discrepancy_sweep(args, inputs: dict[str, str]) -> Outcome:
     t = _load(args.file, inputs, parse_tournament)
     report = exhaustive_mixing_check(t)
-    _emit("discrepancy sweep", inputs, _mixing_dict(t, report), started, args.pretty)
-    return 1 if report.violations else 0
+    return _mixing_dict(t, report), 1 if report.violations else 0
 
 
-def cmd_discrepancy_sample(args) -> int:
-    started = time.perf_counter()
-    inputs: dict[str, str] = {}
+def cmd_discrepancy_sample(args, inputs: dict[str, str]) -> Outcome:
     t = _load(args.file, inputs, parse_tournament)
     report = sampled_mixing_check(t, args.samples, args.seed)
     results = _mixing_dict(t, report)
     results["seed"] = args.seed
-    _emit("discrepancy sample", inputs, results, started, args.pretty)
-    return 1 if report.violations else 0
+    return results, 1 if report.violations else 0
 
 
-def cmd_discrepancy_bounds(args) -> int:
-    started = time.perf_counter()
-    inputs: dict[str, str] = {}
+def cmd_discrepancy_bounds(args, inputs: dict[str, str]) -> Outcome:
     t = _load(args.file, inputs, parse_tournament)
     if t.n <= DP_CAP:
         r = exact_max_consistent(t)
@@ -310,25 +291,19 @@ def cmd_discrepancy_bounds(args) -> int:
         "c_method": "given" if args.c_value is not None else r.method,
         **bounds,
     }
-    _emit("discrepancy bounds", inputs, results, started, args.pretty)
-    return 0 if holds else 1
+    return results, 0 if holds else 1
 
 
 # ---------------------------------------------------------------- pipeline
 
 
-def cmd_pipeline_paley(args) -> int:
-    started = time.perf_counter()
-    # Every q above SWEEP_CAP is sampled, and the sampler stops at SAMPLE_CAP:
-    # refuse larger q before building anything.  With p >= 2 the product at
-    # least doubles per step, so an absurd --k never forms p**k.
-    q = 1
-    for _ in range(args.k if args.p >= 2 else 0):
-        q *= args.p
-        if q > SAMPLE_CAP:
-            raise ValueError(f"pipeline paley supports q = p^k <= {SAMPLE_CAP},"
-                             f" got p = {args.p}, k = {args.k}")
+def cmd_pipeline_paley(args, inputs: dict[str, str]) -> Outcome:
     field = make_field(args.p, args.k)
+    # Every q above SWEEP_CAP is sampled, and the sampler stops at SAMPLE_CAP:
+    # refuse larger q before the Paley set and the tournament are built.
+    if field.order > SAMPLE_CAP:
+        raise ValueError(f"pipeline paley supports q = p^k <= {SAMPLE_CAP},"
+                         f" got q = {field.order}")
     d = paley_set(field)
     n = field.order
     shds = is_shds(d)
@@ -366,8 +341,7 @@ def cmd_pipeline_paley(args) -> int:
     bounds, holds = _bounds_dict(t, r.ranking, r.value)
     ok = ok and holds
     results.update(bounds)
-    _emit("pipeline paley", {}, results, started, args.pretty)
-    return 0 if ok else 1
+    return results, 0 if ok else 1
 
 
 # ---------------------------------------------------------------- parser
@@ -482,8 +456,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
+    inputs: dict[str, str] = {}
     try:
-        return args.func(args)
+        results, code = args.func(args, inputs)
+        if results is not None:
+            _emit(f"{args.command} {args.subcommand}", inputs, results, started,
+                  args.pretty)
+        return code
     except (ValueError, OSError) as e:
         print(f"drt: error: {e}", file=sys.stderr)
         raise SystemExit(2) from None

@@ -4,8 +4,9 @@ A candidate set D in a finite abelian group G is checked against three
 conditions: size (n-1)/2, every nonzero element appearing (n-3)/4 times as an
 ordered difference, and skewness (G is the disjoint union of {0}, D, and -D).
 Two candidates are equivalent when one is an automorphism image of the other
-up to translation; for cyclic groups the automorphisms are the units, for
-elementary abelian groups the invertible matrices over F_p.
+up to translation.  The automorphisms are the k x k matrices over Z_m with
+a unit determinant: the units for a cyclic group, the invertible matrices
+over F_p for an elementary abelian one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .groups import (
     AbelianGroup,
@@ -125,33 +126,24 @@ def is_shds(d: CandidateSet) -> Verdict:
 
 
 @dataclass(frozen=True)
-class UnitAutomorphism:
-    """x -> u*x on Z_m, for a unit u."""
+class Automorphism:
+    """x -> M x on Z_m^k, for a k x k matrix M over Z_m (row tuples) whose
+    determinant is a unit mod m.  On a cyclic group M is the 1 x 1 unit."""
 
     modulus: int
-    unit: int
-
-    def apply(self, x: Element) -> Element:
-        return ((self.unit * x[0]) % self.modulus,)
-
-
-@dataclass(frozen=True)
-class MatrixAutomorphism:
-    """x -> M x on (Z/pZ)^k, for an invertible matrix M (row tuples)."""
-
-    p: int
     rows: tuple[tuple[int, ...], ...]
 
     def apply(self, x: Element) -> Element:
-        p = self.p
-        return tuple(sum(r[j] * x[j] for j in range(len(x))) % p for r in self.rows)
-
-
-Automorphism = Union[UnitAutomorphism, MatrixAutomorphism]
+        m = self.modulus
+        return tuple(sum(r[j] * x[j] for j in range(len(x))) % m for r in self.rows)
 
 
 def _det_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Determinant mod p by Gaussian elimination."""
+    """Determinant mod p by Gaussian elimination.
+
+    Also exact for a 1 x 1 matrix over Z_m with m composite: no row is ever
+    eliminated, so the Fermat inverse is never used.
+    """
     k = len(rows)
     m = [list(r) for r in rows]
     det = 1
@@ -197,9 +189,9 @@ def enumerate_automorphisms(
 ) -> Iterator[Automorphism]:
     """Yield all group automorphisms in a fixed order.
 
-    Cyclic: units ascending.  Elementary abelian: k x k matrices over F_p in
-    row-lexicographic order, singular ones skipped.  Refuses groups whose
-    automorphism count exceeds `budget`.
+    The k x k matrices over Z_m in row-lexicographic order, keeping those
+    whose determinant is a unit mod m; on a cyclic group these are the units
+    ascending.  Refuses groups whose automorphism count exceeds `budget`.
     """
     count = automorphism_count(group)
     if count > budget:
@@ -207,18 +199,11 @@ def enumerate_automorphisms(
             f"automorphism group of {group} has order {count}, over budget {budget};"
             f" raise the budget to force the enumeration"
         )
-    moduli = group.moduli
-    if len(moduli) == 1:
-        m = moduli[0]
-        for u in range(1, m):
-            if math.gcd(u, m) == 1:
-                yield UnitAutomorphism(m, u)
-        return
-    p, k = moduli[0], len(moduli)
-    for flat in itertools.product(range(p), repeat=k * k):
+    m, k = group.moduli[0], len(group.moduli)
+    for flat in itertools.product(range(m), repeat=k * k):
         rows = tuple(flat[i * k : (i + 1) * k] for i in range(k))
-        if _det_mod_p(rows, p) != 0:
-            yield MatrixAutomorphism(p, rows)
+        if math.gcd(_det_mod_p(rows, m), m) == 1:
+            yield Automorphism(m, rows)
 
 
 def affine_witness(
@@ -251,25 +236,23 @@ def are_equivalent(
     d1: CandidateSet,
     d2: CandidateSet,
     budget: int = DEFAULT_AUT_BUDGET,
-    precheck: bool = True,
 ) -> Optional[tuple[Automorphism, Element]]:
     """Witness (tau, g) with D1 = tau(D2) + g, or None if inequivalent.
 
-    `precheck` short-circuits obviously inequivalent pairs (size or
-    difference-profile multiset mismatch — both are affine invariants);
-    disable it to force the full enumeration.
+    Pairs whose sizes or difference-profile multisets differ (both affine
+    invariants) are answered None without the search; `affine_witness`
+    always runs the full enumeration.
     """
     if d1.group != d2.group:
         raise ValueError(
             f"sets live in different groups: {d1.group} vs {d2.group}"
         )
-    if precheck:
-        if len(d1.elements) != len(d2.elements):
-            return None
-        if sorted(difference_profile(d1).values()) != sorted(
-            difference_profile(d2).values()
-        ):
-            return None
+    if len(d1.elements) != len(d2.elements):
+        return None
+    if sorted(difference_profile(d1).values()) != sorted(
+        difference_profile(d2).values()
+    ):
+        return None
     return affine_witness(d1.group, d1.elements, d2.elements, budget=budget)
 
 

@@ -49,13 +49,7 @@ def edge_count(t: Tournament, a_mask: int, b_mask: int) -> int:
     """e(A,B): edges from A into B (the masks need not be disjoint)."""
     _check_mask(t, a_mask, "A")
     _check_mask(t, b_mask, "B")
-    count = 0
-    rest = a_mask
-    while rest:
-        a = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        count += (t.rows[a] & b_mask).bit_count()
-    return count
+    return sum((t.rows[a] & b_mask).bit_count() for a in mask_vertices(a_mask))
 
 
 class MixingCheck(NamedTuple):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import derive_seed
-from .tourney import Tournament, random_tournament, signed_adjacency
+from .tourney import Tournament, mask_vertices, random_tournament, signed_adjacency
 
 DP_CAP = 24
 
@@ -184,10 +184,7 @@ def exact_max_consistent(t: Tournament) -> RankingResult:
     s = size - 1
     for r in range(n, 0, -1):
         target = int(best[s])
-        rest = s
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+        for v in mask_vertices(s):
             prev = s & ~(1 << v)
             if int(best[prev]) + (in_rows_py[v] & prev).bit_count() == target:
                 ranks[v] = r

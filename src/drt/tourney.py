@@ -4,6 +4,14 @@ Adjacency lives in Python integers used as bitsets: bit j of ``rows[i]`` is 1
 exactly when the edge i -> j is present.  Popcounts via ``int.bit_count`` make
 the pair statistics cheap, and all verification is exact integer arithmetic —
 no floating point anywhere in this module.
+
+The Gram certificate is one identity, S S^T = n I - J, where S = M - M^T is
+the signed adjacency (Reid & Brown 1972: it holds iff T is doubly regular).
+It forces S 1 = 0, since |S^T 1|^2 = 1^T S S^T 1 = 0 and S is skew, so every
+out-degree is (n-1)/2.  Then S = 2M + I - J, S J = J S = 0, and so
+4 M M^T = S S^T + I + (n-2) J: the identity is equivalent to
+M M^T = ((n+1)/4) I + ((n-3)/4) J.  It can hold only at n = 1 or
+n = 3 (mod 4).
 """
 
 from __future__ import annotations
@@ -53,11 +61,8 @@ class Tournament:
         """in_rows[j] has bit i set iff i -> j (column masks of the adjacency)."""
         cols = [0] * self.n
         for i, row in enumerate(self.rows):
-            r = row
-            while r:
-                j = (r & -r).bit_length() - 1
+            for j in mask_vertices(row):
                 cols[j] |= 1 << i
-                r &= r - 1
         return tuple(cols)
 
     def has_edge(self, x: int, y: int) -> bool:
@@ -172,46 +177,22 @@ def signed_adjacency(t: Tournament) -> np.ndarray:
 
 
 def verify_gram_identities(t: Tournament) -> Verdict:
-    """Exact integer check of the product identity of a doubly regular
-    tournament.
+    """Exact integer check of S S^T = n I - J (see the module docstring).
 
-    For n = 3 (mod 4) the certificate is M M^T = ((n+1)/4) I + ((n-3)/4) J.
-    Its diagonal forces every out-degree to (n-1)/2, and for such M the signed
-    matrix S = M - M^T = 2M + I - J has S S^T = 4 M M^T - I - (n-2) J, so the
-    identity is equivalent to S S^T = n I - J (Reid & Brown 1972: both say T
-    is doubly regular) and only one of them is compared.  S is skew, so
-    S^T S = S S^T and column inner products need no check of their own.  For
-    other n the right side of the first identity is not integral; S S^T is
-    compared instead and the verdict says so.
+    S is skew, so S^T S = S S^T and column inner products need no check of
+    their own.  The verdict names the first mismatching entry.
     """
     n = t.n
-    m = adjacency_matrix(t)
-    identity = np.eye(n, dtype=np.int64)
-    ones = np.ones((n, n), dtype=np.int64)
-    if n % 4 == 3:
-        want = (n + 1) // 4 * identity + (n - 3) // 4 * ones
-        got = m @ m.T
-        if not np.array_equal(got, want):
-            i, j = _first_mismatch(got, want)
-            return Verdict.failed(
-                f"MM^T entry ({i}, {j}) = {got[i, j]}, expected {want[i, j]}"
-            )
-        return Verdict.passed()
-    skipped = f" (MM^T identity skipped: n = {n} is not 3 (mod 4))"
-    s = m - m.T
-    want = n * identity - ones
+    s = signed_adjacency(t)
     got = s @ s.T
-    if not np.array_equal(got, want):
-        i, j = _first_mismatch(got, want)
-        return Verdict.failed(
-            f"SS^T entry ({i}, {j}) = {got[i, j]}, expected {want[i, j]}{skipped}"
-        )
-    return Verdict(True, f"signed identity holds{skipped}")
-
-
-def _first_mismatch(got: np.ndarray, want: np.ndarray) -> tuple[int, int]:
+    want = n * np.eye(n, dtype=np.int64) - 1
     bad = np.argwhere(got != want)
-    return int(bad[0][0]), int(bad[0][1])
+    if bad.size:
+        i, j = bad[0]
+        return Verdict.failed(
+            f"SS^T entry ({i}, {j}) = {got[i, j]}, expected {want[i, j]}"
+        )
+    return Verdict.passed()
 
 
 def random_tournament(n: int, seed: int) -> Tournament:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -35,13 +36,42 @@ def report_of(capsys, argv):
 # ------------------------------------------------------------------- reports
 
 
-def test_report_envelope(capsys):
-    code, rep = report_of(capsys, ["pipeline", "paley", "--p", "7"])
+# Every report command, run on the Paley 7 files {d7}, {neg7} and {t7}.
+REPORT_COMMANDS = {
+    "diffset-verify": ["diffset", "verify", "{d7}"],
+    "diffset-classify": ["diffset", "classify", "{d7}", "{neg7}"],
+    "tourney-verify": ["tourney", "verify", "{t7}"],
+    "rank-exact": ["rank", "exact", "{t7}"],
+    "rank-heuristic": ["rank", "heuristic", "{t7}"],
+    "rank-baseline": ["rank", "baseline", "--n", "5", "--trials", "2"],
+    "discrepancy-sweep": ["discrepancy", "sweep", "{t7}"],
+    "discrepancy-sample": ["discrepancy", "sample", "{t7}", "--samples", "100"],
+    "discrepancy-bounds": ["discrepancy", "bounds", "{t7}"],
+    "pipeline-paley": ["pipeline", "paley", "--p", "7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_COMMANDS))
+def test_report_envelope(capsys, tmp_path, name):
+    files = {"d7": "Z7\n1 2 4\n", "neg7": "Z7\n3 5 6\n"}
+    for key, text in files.items():
+        (tmp_path / key).write_text(text)
+    paths = {k: str(tmp_path / k) for k in ("d7", "neg7", "t7")}
+    assert main(["tourney", "cayley", paths["d7"], "-o", paths["t7"]]) == 0
+    argv = [a.format(**paths) for a in REPORT_COMMANDS[name]]
+    code, rep = report_of(capsys, argv)
     assert code == 0
+    assert sorted(rep) == ["command", "inputs", "results", "schema_version",
+                           "tool_version", "wall_time_ms"]
     assert rep["schema_version"] == 1
-    assert rep["command"] == "pipeline paley"
+    assert rep["command"] == " ".join(argv[:2])
     assert isinstance(rep["wall_time_ms"], float)
-    assert rep["inputs"] == {}
+    read = [a for a in argv if a.startswith(str(tmp_path))]
+    assert rep["inputs"] == {
+        path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in read
+    }
+    if name in ("pipeline-paley", "rank-baseline"):
+        assert rep["inputs"] == {}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
@@ -128,6 +158,8 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path):
     t25, t17 = tmp_path / "t25.txt", tmp_path / "t17.txt"
     assert main(["tourney", "random", "--n", "25", "-o", str(t25)]) == 0
     assert main(["tourney", "random", "--n", "17", "-o", str(t17)]) == 0
+    huge = tmp_path / "huge.txt"
+    huge.write_text("Z3^1000000000\n1\n")
     cases = [
         ["pipeline", "paley", "--p", "31", "--rank-cap", "31"],
         ["pipeline", "paley", "--p", "31", "--samples", "0"],
@@ -135,9 +167,12 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path):
         ["tourney", "random", "--n", "5", "-o", str(tmp_path / "missing" / "x")],
         ["rank", "exact", str(t25)],  # over DP_CAP = 24
         ["discrepancy", "sweep", str(t17)],  # over SWEEP_CAP = 16
-        # over the sampled check's n <= 900: refused before the field is built
+        # over the sampled check's n <= 900: refused before the tournament is built
         ["pipeline", "paley", "--p", "907"],
+        # over ORDER_CAP = 2^16: refused before the field or group is built
         ["pipeline", "paley", "--p", "3", "--k", str(10**9)],
+        ["diffset", "paley", "--p", "3", "--k", str(10**9)],
+        ["diffset", "verify", str(huge)],
     ]
     for argv in cases:
         started = time.perf_counter()

@@ -116,8 +116,19 @@ def test_candidate_from_indices_validates():
 
 def test_cyclic_automorphisms_are_units_ascending():
     auts = list(enumerate_automorphisms(Z7))
-    assert [a.unit for a in auts] == [1, 2, 3, 4, 5, 6]
+    assert [a.rows for a in auts] == [((u,),) for u in [1, 2, 3, 4, 5, 6]]
     assert auts[2].apply((4,)) == (5,)  # 3*4 = 12 = 5 mod 7
+
+
+def test_composite_cyclic_automorphisms_are_the_units():
+    # gcd(det, 15) = 1 keeps exactly the units; 3, 5, 6, 9, 10, 12 are
+    # nonzero mod 15 and must still be dropped
+    z15 = make_group((15,))
+    auts = list(enumerate_automorphisms(z15))
+    assert [a.rows for a in auts] == [((u,),) for u in [1, 2, 4, 7, 8, 11, 13, 14]]
+    assert all(a.modulus == 15 for a in auts)
+    assert automorphism_count(z15) == 8
+    assert auts[1].apply((9,)) == (3,)  # 2*9 = 18 = 3 mod 15
 
 
 def test_gl_2_3_enumeration():
@@ -150,20 +161,20 @@ def test_negation_witness_is_multiplication_by_3():
     w = are_equivalent(neg, D7)
     assert w is not None
     tau, g = w
-    assert tau.unit == 3 and g == (0,)
+    assert tau.rows == ((3,),) and g == (0,)
 
 
 def test_translation_witness():
     shifted = candidate_from_indices(Z7, sorted((x + 3) % 7 for x in [1, 2, 4]))
     tau, g = affine_witness(Z7, shifted.elements, D7.elements)
-    assert tau.unit == 1 and g == (3,)
+    assert tau.rows == ((1,),) and g == (3,)
 
 
 def test_inequivalent_pair():
     assert are_equivalent(D7, candidate_from_indices(Z7, [1, 2, 3])) is None
-    # the same answer without the profile precheck
-    assert are_equivalent(
-        D7, candidate_from_indices(Z7, [1, 2, 3]), precheck=False
+    # the same answer from the full search, without the profile precheck
+    assert affine_witness(
+        Z7, D7.elements, candidate_from_indices(Z7, [1, 2, 3]).elements
     ) is None
 
 

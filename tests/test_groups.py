@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from drt.groups import (
+    ORDER_CAP,
     AbelianGroup,
     FiniteField,
     format_group_spec,
@@ -23,6 +24,13 @@ def test_make_group_rejects_bad_moduli():
         make_group((7, 1))
     with pytest.raises(ValueError):
         make_group((0,))
+
+
+def test_abelian_group_is_where_moduli_are_checked():
+    for bad in [(), (7, 1), (1,), (0,)]:
+        with pytest.raises(ValueError):
+            AbelianGroup(bad)
+    assert make_group([7.0, "3"]).moduli == (7, 3)  # make_group only coerces
 
 
 def test_order_is_product_of_moduli():
@@ -69,6 +77,17 @@ def test_parse_group_spec():
 def test_parse_group_spec_rejects(bad):
     with pytest.raises(ValueError):
         parse_group_spec(bad)
+
+
+def test_orders_above_the_cap_are_refused_before_building():
+    assert ORDER_CAP == 2**16
+    assert parse_group_spec("Z2^16") == (2,) * 16
+    for spec in ["Z2^17", "Z65537", "Z256xZ257", "Z3^1000000000", "Z2^8xZ3^999999999"]:
+        with pytest.raises(ValueError, match="ORDER_CAP"):
+            parse_group_spec(spec)
+    for p, k in [(2, 17), (3, 10**9), (65537, 1)]:
+        with pytest.raises(ValueError, match="ORDER_CAP"):
+            make_field(p, k)
 
 
 def test_format_group_spec_round_trips():

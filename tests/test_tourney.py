@@ -26,6 +26,7 @@ from drt.tourney import (
     signed_adjacency,
     verify_gram_identities,
 )
+from drt.verdict import Verdict
 
 from conftest import common_in_neighbors, is_isomorphic_small, transitive
 
@@ -233,10 +234,45 @@ def test_gram_verdict_names_first_mismatch(transitive8):
     assert "entry" in v.reason
 
 
-def test_gram_on_even_order_skips_unsigned_identity():
+def test_gram_fails_on_even_order():
     t = random_tournament(6, 3)
     v = verify_gram_identities(t)
     assert not v.ok  # random 6-tournament is never a DRT
+    assert v.reason.startswith("SS^T entry (")
+
+
+def test_gram_passes_on_one_vertex():
+    assert verify_gram_identities(Tournament(1, (0,))) == Verdict(True, "")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_gram_agrees_with_double_regularity_on_every_tournament(n):
+    # all 2^binom(n,2) orientations: 8 + 64 + 1024 + 32768 = 33,864 in total
+    pairs = list(itertools.combinations(range(n), 2))
+    passed = 0
+    for bits in range(1 << len(pairs)):
+        rows = [0] * n
+        for k, (i, j) in enumerate(pairs):
+            if (bits >> k) & 1:
+                rows[i] |= 1 << j
+            else:
+                rows[j] |= 1 << i
+        t = Tournament(n, tuple(rows))
+        gram = verify_gram_identities(t)
+        assert gram.ok == is_doubly_regular(t).ok, rows
+        passed += gram.ok
+    assert passed == (2 if n == 3 else 0)  # the two 3-cycles
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (7, 1), (11, 1), (19, 1), (23, 1), (3, 3)])
+def test_gram_and_double_regularity_both_fail_with_one_pair_flipped(paley, p, k):
+    t = paley(p, k)
+    rows = list(t.rows)
+    rows[0] ^= 1 << 1
+    rows[1] ^= 1 << 0
+    flipped = Tournament(t.n, tuple(rows))
+    assert not verify_gram_identities(flipped).ok
+    assert not is_doubly_regular(flipped).ok
 
 
 # ------------------------------------------------------------------- random
