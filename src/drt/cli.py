@@ -18,6 +18,7 @@ ignored and never changes any output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -188,7 +189,7 @@ def cmd_diffset_classify(args, inputs: dict[str, str]) -> Outcome:
     groups = {format_group_spec(d.group.moduli) for d in sets}
     if len(groups) > 1:
         raise ValueError(f"all sets must share one group, got {sorted(groups)}")
-    classes = classify(sets, budget=args.budget)
+    classes = classify(sets)
     results = {
         "files": list(args.files),
         "class_count": len(classes),
@@ -245,18 +246,8 @@ def cmd_rank_heuristic(args, inputs: dict[str, str]) -> Outcome:
 
 
 def cmd_rank_baseline(args, inputs: dict[str, str]) -> Outcome:
-    summary = random_baseline(args.n, args.trials, args.seed)
-    results = {
-        "n": summary.n,
-        "trials": summary.trials,
-        "seed": summary.seed,
-        "min_value": summary.min_value,
-        "max_value": summary.max_value,
-        "min_ratio": summary.min_ratio,
-        "mean_ratio": summary.mean_ratio,
-        "max_ratio": summary.max_ratio,
-        "max_epsilon": summary.max_epsilon,
-    }
+    results = dataclasses.asdict(random_baseline(args.n, args.trials, args.seed))
+    del results["values"]
     return results, 0
 
 
@@ -377,10 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diffset_verify)
     p = dsub.add_parser("classify", help="group diffset files into equivalence classes")
     p.add_argument("files", nargs="+")
-    p.add_argument(
-        "--budget", type=int, default=10_000_000,
-        help="refuse automorphism groups larger than this (default 1e7)",
-    )
     _add_pretty(p)
     p.set_defaults(func=cmd_diffset_classify)
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
+import numpy as np
+
 Element = tuple[int, ...]
 
 # Largest group or field order the constructors accept.  make_field builds
@@ -80,6 +82,14 @@ class AbelianGroup:
     def elements(self) -> Iterator[Element]:
         """All elements in index order."""
         return itertools.product(*(range(m) for m in self.moduli))
+
+    def sub_indices(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """index(sub(element(x), element(y))) elementwise over index arrays."""
+        out, place = 0, 1
+        for m in reversed(self.moduli):  # least significant digit first
+            out = out + (x % m - y % m) % m * place
+            x, y, place = x // m, y // m, place * m
+        return out
 
     def __str__(self) -> str:
         return format_group_spec(self.moduli)
@@ -266,13 +276,11 @@ def make_field(p: int, k: int) -> FiniteField:
         raise ValueError(f"p must be prime, got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    modulus = None
-    for low in itertools.product(range(p), repeat=k):
-        if _poly_is_irreducible(low, p):
-            modulus = low
-            break
-    if modulus is None:  # cannot happen: irreducibles exist for every (p, k)
-        raise RuntimeError(f"no irreducible polynomial found for p={p}, k={k}")
+    # irreducibles exist for every (p, k), so the search always ends
+    modulus = next(
+        low for low in itertools.product(range(p), repeat=k)
+        if _poly_is_irreducible(low, p)
+    )
     field = FiniteField(p, k, modulus)
     probe = field.additive_group.element(field.order - 1)  # all coords p-1
     if field.pow(probe, field.order - 1) != field.one():

@@ -1,9 +1,10 @@
 """Tournaments as packed bit rows; Cayley construction and regularity checks.
 
 Adjacency lives in Python integers used as bitsets: bit j of ``rows[i]`` is 1
-exactly when the edge i -> j is present.  Popcounts via ``int.bit_count`` make
-the pair statistics cheap, and all verification is exact integer arithmetic —
-no floating point anywhere in this module.
+exactly when the edge i -> j is present.  `_unpack` and `_pack` are the only
+code that converts between that layout and a 0/1 matrix.  All verification is
+exact: the matrix products run in float64, but every entry is an integer of
+absolute value at most n <= ORDER_CAP = 2**16, far below 2**53.
 
 The Gram certificate is one identity, S S^T = n I - J, where S = M - M^T is
 the signed adjacency (Reid & Brown 1972: it holds iff T is doubly regular).
@@ -22,6 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .diffset import CandidateSet, is_skew
+from .groups import ORDER_CAP
 from .rng import SplitMix64
 from .verdict import Verdict
 
@@ -48,22 +50,18 @@ class Tournament:
                 raise ValueError(f"row {i} has bits outside 0..{self.n - 1}")
             if (row >> i) & 1:
                 raise ValueError(f"vertex {i} has a self-loop")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                forward = (self.rows[i] >> j) & 1
-                backward = (self.rows[j] >> i) & 1
-                if forward == backward:
-                    kind = "both ways" if forward else "neither way"
-                    raise ValueError(f"pair ({i}, {j}) is oriented {kind}")
+        m = _unpack(self)
+        # np.argwhere is row-major: the first bad pair (i, j), i < j
+        bad = np.argwhere(np.triu(m == m.T, 1))
+        if bad.size:
+            i, j = (int(v) for v in bad[0])
+            kind = "both ways" if m[i, j] else "neither way"
+            raise ValueError(f"pair ({i}, {j}) is oriented {kind}")
 
     @cached_property
     def in_rows(self) -> tuple[int, ...]:
         """in_rows[j] has bit i set iff i -> j (column masks of the adjacency)."""
-        cols = [0] * self.n
-        for i, row in enumerate(self.rows):
-            for j in mask_vertices(row):
-                cols[j] |= 1 << i
-        return tuple(cols)
+        return _pack(_unpack(self).T)
 
     def has_edge(self, x: int, y: int) -> bool:
         return bool((self.rows[x] >> y) & 1)
@@ -72,40 +70,38 @@ class Tournament:
         return self.rows[v].bit_count()
 
 
+def _unpack(t: Tournament) -> np.ndarray:
+    """uint8 n x n adjacency: entry (i, j) is bit j of rows[i], which is bit
+    j % 8 of byte j // 8 of the row's little-endian bytes."""
+    n = t.n
+    width = (n + 7) // 8
+    packed = b"".join(row.to_bytes(width, "little") for row in t.rows)
+    bits = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(bits, axis=1, count=n, bitorder="little")
+
+
+def _pack(bits: np.ndarray) -> tuple[int, ...]:
+    """Bit rows of a 0/1 matrix, the inverse of `_unpack`."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
 def cayley_tournament(d: CandidateSet) -> Tournament:
     """Cayley tournament of a skew set: x -> y iff x - y in D.
 
     Skewness is exactly what makes the orientation total and loop-free, so a
     non-skew set is rejected with the offending elements named.
     """
+    skew = is_skew(d)
+    if not skew:
+        raise ValueError(f"set is not skew: {skew.reason}")
     group = d.group
-    if not is_skew(d):
-        zero = group.zero()
-        if zero in d.elements:
-            raise ValueError("set is not skew: contains the zero element")
-        for x in sorted(d.elements, key=group.index):
-            if group.neg(x) in d.elements:
-                raise ValueError(
-                    f"set is not skew: both {x} and -{x} = {group.neg(x)} present"
-                )
-        covered = {zero} | d.elements | {group.neg(x) for x in d.elements}
-        missing = min(
-            (g for g in group.elements() if g not in covered), key=group.index
-        )
-        raise ValueError(f"set is not skew: element {missing} is in neither D nor -D")
-    # x -> y iff y = x - dd for a member dd: subtract on the mixed-radix
-    # coordinates of every (element, member) pair at once.
     n = group.order
-    coords = np.stack(np.unravel_index(np.arange(n), group.moduli), axis=-1)
-    members = np.array(list(d.elements), dtype=np.intp)
-    members = members.reshape(len(d), len(group.moduli))
-    diffs = (coords[:, None, :] - members) % np.array(group.moduli)
-    targets = np.ravel_multi_index(tuple(np.moveaxis(diffs, -1, 0)), group.moduli)
-    adjacency = np.zeros((n, n), dtype=bool)
-    adjacency[np.arange(n)[:, None], targets] = True
-    packed = np.packbits(adjacency, axis=1, bitorder="little")
-    rows = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return Tournament(n, rows)
+    vertices = np.arange(n)
+    adjacency = np.zeros((n, n), dtype=np.uint8)
+    for dd in d.indices:  # x -> y iff y = x - dd
+        adjacency[vertices, group.sub_indices(vertices, dd)] = 1
+    return Tournament(n, _pack(adjacency))
 
 
 def common_out_neighbors(t: Tournament, x: int, y: int) -> set[int]:
@@ -146,28 +142,21 @@ def is_doubly_regular(t: Tournament) -> Verdict:
                 f"degree: vertex {v} has out-degree {deg}, expected {half}"
             )
     quarter = (n - 3) // 4
-    for x in range(n):
-        for y in range(x + 1, n):
-            both_out = (t.rows[x] & t.rows[y]).bit_count()
-            if both_out != quarter:
-                return Verdict.failed(
-                    f"pair ({x}, {y}): common out-neighbors {both_out},"
-                    f" expected {quarter}"
-                )
+    m = _unpack(t).astype(np.float64)
+    common = m @ m.T  # common out-neighbours of every pair
+    bad = np.argwhere(np.triu(common != quarter, 1))
+    if bad.size:
+        x, y = (int(v) for v in bad[0])
+        return Verdict.failed(
+            f"pair ({x}, {y}): common out-neighbors {int(common[x, y])},"
+            f" expected {quarter}"
+        )
     return Verdict.passed()
 
 
 def adjacency_matrix(t: Tournament) -> np.ndarray:
-    """0/1 adjacency as an int64 array (row i, column j: edge i -> j).
-
-    Each packed row becomes little-endian bytes, so bit j of a row is bit
-    j % 8 of its byte j // 8, which `unpackbits(bitorder="little")` expands.
-    """
-    n = t.n
-    width = (n + 7) // 8
-    packed = b"".join(row.to_bytes(width, "little") for row in t.rows)
-    bits = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
-    return np.unpackbits(bits, axis=1, bitorder="little")[:, :n].astype(np.int64)
+    """0/1 adjacency as an int64 array (row i, column j: edge i -> j)."""
+    return _unpack(t).astype(np.int64)
 
 
 def signed_adjacency(t: Tournament) -> np.ndarray:
@@ -177,20 +166,20 @@ def signed_adjacency(t: Tournament) -> np.ndarray:
 
 
 def verify_gram_identities(t: Tournament) -> Verdict:
-    """Exact integer check of S S^T = n I - J (see the module docstring).
+    """Exact check of S S^T = n I - J (see the module docstring).
 
     S is skew, so S^T S = S S^T and column inner products need no check of
     their own.  The verdict names the first mismatching entry.
     """
     n = t.n
-    s = signed_adjacency(t)
+    s = signed_adjacency(t).astype(np.float64)
     got = s @ s.T
-    want = n * np.eye(n, dtype=np.int64) - 1
+    want = n * np.eye(n) - 1
     bad = np.argwhere(got != want)
     if bad.size:
         i, j = bad[0]
         return Verdict.failed(
-            f"SS^T entry ({i}, {j}) = {got[i, j]}, expected {want[i, j]}"
+            f"SS^T entry ({i}, {j}) = {int(got[i, j])}, expected {int(want[i, j])}"
         )
     return Verdict.passed()
 
@@ -199,19 +188,22 @@ def random_tournament(n: int, seed: int) -> Tournament:
     """Uniformly random orientation of each pair, from the seeded bit stream.
 
     Pairs are visited in fixed order (0,1), (0,2), ..., (n-2, n-1); each takes
-    one draw, so the construction is reproducible bit for bit.
+    one draw, so the construction is reproducible bit for bit.  Orders above
+    ORDER_CAP are refused before anything is drawn.
     """
     if n < 1:
         raise ValueError(f"need at least one vertex, got n = {n}")
+    if n > ORDER_CAP:
+        raise ValueError(f"n = {n} is above ORDER_CAP = {ORDER_CAP}")
     gen = SplitMix64(seed)
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gen.coin():
-                rows[i] |= 1 << j
-            else:
-                rows[j] |= 1 << i
-    return Tournament(n, tuple(rows))
+    pairs = n * (n - 1) // 2
+    coins = np.fromiter((gen.coin() for _ in range(pairs)), np.uint8, count=pairs)
+    # a boolean mask selects the upper triangle in row-major pair order
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    bits = np.zeros((n, n), dtype=np.uint8)
+    bits[upper] = coins
+    bits.T[upper] = 1 - coins
+    return Tournament(n, _pack(bits))
 
 
 # --------------------------------------------------------------------------
@@ -250,8 +242,6 @@ def parse_tournament(text: str) -> Tournament:
 
 
 def format_tournament(t: Tournament) -> str:
-    lines = [str(t.n)]
-    for i in range(t.n):
-        row = t.rows[i]
-        lines.append("".join("1" if (row >> j) & 1 else "0" for j in range(t.n)))
+    # character j of a line is bit j of the row: its binary string reversed
+    lines = [str(t.n)] + [format(row, f"0{t.n}b")[::-1] for row in t.rows]
     return "\n".join(lines) + "\n"

@@ -173,6 +173,8 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path):
         ["pipeline", "paley", "--p", "3", "--k", str(10**9)],
         ["diffset", "paley", "--p", "3", "--k", str(10**9)],
         ["diffset", "verify", str(huge)],
+        # refused before the n-row list is allocated
+        ["tourney", "random", "--n", str(10**9)],
     ]
     for argv in cases:
         started = time.perf_counter()

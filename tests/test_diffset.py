@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from drt.diffset import (
     parse_diffset,
 )
 from drt.groups import make_field, make_group
+from drt.verdict import Verdict
 
 Z7 = make_group((7,))
 D7 = candidate_from_indices(Z7, [1, 2, 4])
@@ -64,6 +66,69 @@ def test_difference_profile_counts_by_hand():
     prof = {k[0]: v for k, v in difference_profile(d).items()}
     # differences of distinct pairs: 1-2, 1-3, 2-1, 2-3, 3-1, 3-2
     assert prof == {1: 2, 2: 1, 3: 0, 4: 0, 5: 1, 6: 2}
+
+
+def _difference_profile_reference(d: CandidateSet) -> dict:
+    """The |D|^2 loop over ordered member pairs."""
+    group = d.group
+    counts = {g: 0 for g in group.elements() if g != group.zero()}
+    for a in d.elements:
+        for b in d.elements:
+            if a != b:
+                counts[group.sub(a, b)] += 1
+    return counts
+
+
+def _skew_reason_reference(d: CandidateSet) -> str:
+    """The first obstruction to skewness, found by a sorted scan; empty for
+    a skew set."""
+    group = d.group
+    zero = group.zero()
+    if zero in d.elements:
+        return "contains the zero element"
+    for x in sorted(d.elements, key=group.index):
+        if group.neg(x) in d.elements:
+            return f"both {x} and -{x} = {group.neg(x)} present"
+    covered = {zero} | d.elements | {group.neg(x) for x in d.elements}
+    missing = [g for g in group.elements() if g not in covered]
+    if missing:
+        return f"element {min(missing, key=group.index)} is in neither D nor -D"
+    return ""
+
+
+def _subsets(moduli, rng: random.Random, samples: int):
+    """Every subset of a group of order <= 9, else `samples` random ones of
+    every size class (empty, small, half, large)."""
+    group = make_group(moduli)
+    n = group.order
+    if n <= 9:
+        for bits in range(1 << n):
+            yield candidate_from_indices(group, [i for i in range(n) if bits >> i & 1])
+        return
+    for _ in range(samples):
+        size = rng.choice([0, 1, 2, (n - 1) // 2, (n - 1) // 2, rng.randrange(n + 1)])
+        yield candidate_from_indices(group, rng.sample(range(n), size))
+
+
+SUBSET_GROUPS = [(7,), (3, 3), (15,), (3, 5), (5, 3), (9, 3), (3, 3, 3)]
+
+
+@pytest.mark.parametrize("moduli", SUBSET_GROUPS, ids=str)
+def test_difference_profile_matches_pair_loop(moduli):
+    for d in _subsets(moduli, random.Random(str(moduli)), 150):
+        got = difference_profile(d)
+        want = _difference_profile_reference(d)
+        assert list(got.items()) == list(want.items()), d.indices
+
+
+@pytest.mark.parametrize("moduli", SUBSET_GROUPS, ids=str)
+def test_is_skew_reason_matches_reference_diagnosis(moduli):
+    kinds = set()
+    for d in _subsets(moduli, random.Random(f"skew{moduli}"), 150):
+        want = _skew_reason_reference(d)
+        assert is_skew(d) == Verdict(not want, want), d.indices
+        kinds.add(want.split(" ")[0])
+    assert {"contains", "both", "element"} <= kinds
 
 
 def test_is_skew():
@@ -148,7 +213,7 @@ def test_automorphism_count_z3_cubed():
 
 def test_budget_refusal_names_the_order():
     g = make_group((7, 7, 7))
-    with pytest.raises(ValueError, match="33784128"):
+    with pytest.raises(ValueError, match="33784128, above AUT_CAP = 10000000"):
         list(enumerate_automorphisms(g))
     assert automorphism_count(g) == 33784128  # counting alone stays cheap
 

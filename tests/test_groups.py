@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from drt.groups import (
@@ -64,6 +65,16 @@ def test_index_element_round_trip(moduli):
         g.element(g.order)
     with pytest.raises(ValueError):
         g.index((99,) * len(moduli))
+
+
+@pytest.mark.parametrize("moduli", [(7,), (15,), (3, 5), (5, 3), (9, 3), (2, 4), (3, 3, 3)])
+def test_sub_indices_matches_scalar_arithmetic(moduli):
+    g = make_group(moduli)
+    n = g.order
+    x, y = np.divmod(np.arange(n * n), n)
+    want = [g.index(g.sub(g.element(a), g.element(b))) for a, b in zip(x, y)]
+    assert g.sub_indices(x, y).tolist() == want
+    assert g.sub_indices(n - 1, y[:n]).tolist() == want[-n:]  # broadcast scalar
 
 
 def test_parse_group_spec():

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from drt.diffset import (
     paley_set,
 )
 from drt.groups import make_field, make_group
+from drt.rng import SplitMix64
 from drt.tourney import (
     Tournament,
     adjacency_matrix,
@@ -28,7 +32,7 @@ from drt.tourney import (
 )
 from drt.verdict import Verdict
 
-from conftest import common_in_neighbors, is_isomorphic_small, transitive
+from conftest import common_in_neighbors, is_isomorphic_small, rotational, transitive
 
 Z7 = make_group((7,))
 
@@ -79,6 +83,28 @@ def test_cayley_rejects_non_skew_sets():
         cayley_tournament(candidate_from_indices(Z7, [2, 3, 5]))  # 2, -2 both in
     with pytest.raises(ValueError):
         cayley_tournament(candidate_from_indices(Z7, [1, 2]))  # 3, 4 uncovered
+
+
+@pytest.mark.parametrize(
+    "moduli, indices, reason",
+    [
+        ((7,), [0, 1, 2], "contains the zero element"),
+        ((7,), [2, 3, 5], "both (2,) and -(2,) = (5,) present"),
+        ((7,), [1, 2], "element (3,) is in neither D nor -D"),
+        ((3, 5), [0, 7], "contains the zero element"),
+        ((3, 5), [14, 1, 4, 11], "both (0, 1) and -(0, 1) = (0, 4) present"),
+        ((3, 5), [1, 2, 5, 6, 7], "element (1, 3) is in neither D nor -D"),
+        ((9, 3), [0, 26, 4], "contains the zero element"),
+        ((9, 3), [26, 4, 24, 2], "both (1, 1) and -(1, 1) = (8, 2) present"),
+        ((9, 3), [1, 3, 4], "element (1, 2) is in neither D nor -D"),
+    ],
+)
+def test_cayley_names_the_skew_failure(moduli, indices, reason):
+    d = candidate_from_indices(make_group(moduli), indices)
+    assert is_skew(d) == Verdict(False, reason)
+    with pytest.raises(ValueError) as exc:
+        cayley_tournament(d)
+    assert str(exc.value) == f"set is not skew: {reason}"
 
 
 def test_skew_iff_tournament_well_defined():
@@ -278,6 +304,30 @@ def test_gram_and_double_regularity_both_fail_with_one_pair_flipped(paley, p, k)
 # ------------------------------------------------------------------- random
 
 
+def _random_rows_reference(n: int, seed: int) -> tuple[int, ...]:
+    """The per-pair build: one coin per pair (0,1), (0,2), ..., (n-2, n-1)."""
+    gen = SplitMix64(seed)
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if gen.coin():
+                rows[i] |= 1 << j
+            else:
+                rows[j] |= 1 << i
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 17, 40, 65])
+def test_random_tournament_matches_per_pair_build(n):
+    for seed in (0, 1, 2**64 - 1):
+        assert random_tournament(n, seed).rows == _random_rows_reference(n, seed)
+
+
+def test_random_tournament_refuses_orders_above_the_cap():
+    with pytest.raises(ValueError, match="ORDER_CAP"):
+        random_tournament(2**16 + 1, 0)
+
+
 def test_random_tournament_is_deterministic():
     a = random_tournament(9, 42)
     b = random_tournament(9, 42)
@@ -357,3 +407,139 @@ def test_format_round_trip(t7):
 def test_parse_tournament_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         parse_tournament(text)
+
+
+# ------------------------------------------------- reference bit-row loops
+# Per-pair and per-bit loops that read the bit rows directly and share no
+# code with the module.
+
+
+def _construction_error_reference(n: int, rows: list[int]):
+    """The message Tournament(n, rows) raises, or None (n >= 1, n rows)."""
+    full = (1 << n) - 1
+    for i, row in enumerate(rows):
+        if not (0 <= row <= full):
+            return f"row {i} has bits outside 0..{n - 1}"
+        if (row >> i) & 1:
+            return f"vertex {i} has a self-loop"
+    for i in range(n):
+        for j in range(i + 1, n):
+            forward = (rows[i] >> j) & 1
+            backward = (rows[j] >> i) & 1
+            if forward == backward:
+                kind = "both ways" if forward else "neither way"
+                return f"pair ({i}, {j}) is oriented {kind}"
+    return None
+
+
+def _in_rows_reference(t: Tournament) -> tuple[int, ...]:
+    cols = [0] * t.n
+    for i, row in enumerate(t.rows):
+        for j in range(t.n):
+            if (row >> j) & 1:
+                cols[j] |= 1 << i
+    return tuple(cols)
+
+
+def _doubly_regular_reference(t: Tournament) -> Verdict:
+    n = t.n
+    if n % 4 != 3:
+        return Verdict.failed(f"order: n = {n} is not 3 (mod 4)")
+    half = (n - 1) // 2
+    for v in range(n):
+        deg = t.rows[v].bit_count()
+        if deg != half:
+            return Verdict.failed(
+                f"degree: vertex {v} has out-degree {deg}, expected {half}"
+            )
+    quarter = (n - 3) // 4
+    for x in range(n):
+        for y in range(x + 1, n):
+            both_out = (t.rows[x] & t.rows[y]).bit_count()
+            if both_out != quarter:
+                return Verdict.failed(
+                    f"pair ({x}, {y}): common out-neighbors {both_out},"
+                    f" expected {quarter}"
+                )
+    return Verdict.passed()
+
+
+def _format_reference(t: Tournament) -> str:
+    lines = [str(t.n)]
+    for row in t.rows:
+        lines.append("".join("1" if (row >> j) & 1 else "0" for j in range(t.n)))
+    return "\n".join(lines) + "\n"
+
+
+def _damaged_copies(t: Tournament, rng: random.Random):
+    """Copies with one to three pairs set both ways or neither way, each with
+    and without an added self-loop, and one with a bit outside 0..n-1."""
+    n = t.n
+    if n >= 2:
+        for count in (1, 2, 3):
+            for both in (True, False):
+                rows = list(t.rows)
+                for _ in range(count):
+                    i, j = rng.sample(range(n), 2)
+                    if both:
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+                    else:
+                        rows[i] &= ~(1 << j)
+                        rows[j] &= ~(1 << i)
+                yield rows
+                v = rng.randrange(n)
+                yield rows[:v] + [rows[v] | 1 << v] + rows[v + 1 :]
+    v = rng.randrange(n)
+    yield list(t.rows[:v]) + [t.rows[v] | 1 << n] + list(t.rows[v + 1 :])
+
+
+def _reference_cases():
+    for n in range(1, 41):
+        yield f"random{n}", random_tournament(n, 300 + n)
+    for p, k in ((3, 1), (7, 1), (11, 1), (19, 1), (23, 1), (3, 3)):
+        yield f"paley{p ** k}", cayley_tournament(paley_set(make_field(p, k)))
+    # regular but not doubly regular: the pair reason is reached
+    for n in (7, 11, 15, 19):
+        for signs in itertools.islice(itertools.product((0, 1), repeat=n // 2), 1, 5):
+            yield f"rotational{n}-{signs}", rotational(n, signs)
+
+
+def _check_against_reference(t: Tournament) -> None:
+    assert t.in_rows == _in_rows_reference(t)
+    assert format_tournament(t) == _format_reference(t)
+    if t.n >= 3:
+        assert is_doubly_regular(t) == _doubly_regular_reference(t)
+
+
+@pytest.mark.parametrize("name, t", list(_reference_cases()))
+def test_bit_row_readers_match_reference_loops(name, t):
+    _check_against_reference(t)
+    rng = random.Random(name)
+    for rows in _damaged_copies(t, rng):
+        want = _construction_error_reference(t.n, rows)
+        if want is None:
+            _check_against_reference(Tournament(t.n, tuple(rows)))
+            continue
+        with pytest.raises(ValueError) as exc:
+            Tournament(t.n, tuple(rows))
+        assert str(exc.value) == want
+
+
+def test_paley_2187_scale():
+    """Z3^7: the verdicts and the Cayley build stay seconds and tens of MiB."""
+    d = paley_set(make_field(3, 7))
+    started = time.perf_counter()
+    assert is_shds(d).ok
+    t = cayley_tournament(d)
+    assert is_doubly_regular(t).ok
+    assert verify_gram_identities(t).ok
+    elapsed = time.perf_counter() - started
+    assert elapsed < 10.0, f"Z3^7 checks took {elapsed:.2f}s"
+    tracemalloc.start()
+    try:
+        cayley_tournament(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20, f"cayley_tournament peaked at {peak / 2**20:.1f} MiB"
