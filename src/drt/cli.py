@@ -10,9 +10,9 @@ the files it reads and wraps the results in this envelope.
 `inputs` maps each input path to its sha256; `results` is deterministic given
 the same inputs and seed (wall_time_ms is the one field outside that
 contract).  `--pretty` renders the same payload as aligned text.  Exit codes:
-0 all checks pass, 1 a verdict failed or a violation was found, 2 usage,
-parse, input or I/O errors.  Every run is single-threaded; DRT_THREADS is
-ignored and never changes any output.
+0 all checks pass, 1 only a failed verdict or violation, 2 usage errors and
+every exception, as one `drt: error:` line.  Every run is single-threaded;
+DRT_THREADS is ignored and never changes any output.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .diffset import (
     classify,
     format_diffset,
     is_shds,
+    is_skew,
     paley_set,
     parse_diffset,
 )
@@ -185,11 +186,7 @@ def cmd_diffset_verify(args, inputs: dict[str, str]) -> Outcome:
 
 
 def cmd_diffset_classify(args, inputs: dict[str, str]) -> Outcome:
-    sets = [_load(path, inputs, parse_diffset) for path in args.files]
-    groups = {format_group_spec(d.group.moduli) for d in sets}
-    if len(groups) > 1:
-        raise ValueError(f"all sets must share one group, got {sorted(groups)}")
-    classes = classify(sets)
+    classes = classify([_load(path, inputs, parse_diffset) for path in args.files])
     results = {
         "files": list(args.files),
         "class_count": len(classes),
@@ -203,12 +200,11 @@ def cmd_diffset_classify(args, inputs: dict[str, str]) -> Outcome:
 
 def cmd_tourney_cayley(args, inputs: dict[str, str]) -> Outcome:
     d = _load(args.file, inputs, parse_diffset)
-    try:
-        t = cayley_tournament(d)
-    except ValueError as e:
-        print(f"drt: {e}", file=sys.stderr)
+    skew = is_skew(d)
+    if not skew:
+        print(f"drt: set is not skew: {skew.reason}", file=sys.stderr)
         return None, 1
-    _write_output(format_tournament(t), args.output)
+    _write_output(format_tournament(cayley_tournament(d)), args.output)
     return None, 0
 
 
@@ -451,8 +447,9 @@ def main(argv=None) -> int:
             _emit(f"{args.command} {args.subcommand}", inputs, results, started,
                   args.pretty)
         return code
-    except (ValueError, OSError) as e:
-        print(f"drt: error: {e}", file=sys.stderr)
+    except Exception as e:  # exit 1 belongs to the verdicts commands return
+        kind = "" if isinstance(e, (ValueError, OSError)) else f"{type(e).__name__}: "
+        print(f"drt: error: {kind}{e}", file=sys.stderr)
         raise SystemExit(2) from None
 
 

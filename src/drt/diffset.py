@@ -58,9 +58,6 @@ class CandidateSet:
         """Sorted vertex indices of the members."""
         return tuple(sorted(self.group.index(x) for x in self.elements))
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
 
 def candidate_from_indices(group: AbelianGroup, indices: Iterable[int]) -> CandidateSet:
     return CandidateSet(group, frozenset(group.element(i) for i in indices))
@@ -273,8 +270,11 @@ def classify(sets: Sequence[CandidateSet]) -> list[list[int]]:
 
     Classes are ordered by their smallest member; pairs already unified are
     not re-checked, so the result is reached with the minimum number of
-    pairwise searches.
+    pairwise searches.  Sets from more than one group are refused up front.
     """
+    specs = {format_group_spec(d.group.moduli) for d in sets}
+    if len(specs) > 1:
+        raise ValueError(f"all sets must share one group, got {sorted(specs)}")
     parent = list(range(len(sets)))
 
     def find(i: int) -> int:

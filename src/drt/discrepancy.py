@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .ranking import count_consistent
 from .rng import trit_block
-from .tourney import Tournament, mask_vertices, signed_adjacency
+from .tourney import Tournament, mask_vertices, signed_adjacency, vertex_mask
 
 SWEEP_CAP = 16
 _SWEEP_SLICE_PAIRS = 1 << 16  # pairs per sweep matmul; bounds its temporaries
@@ -30,14 +30,6 @@ SAMPLE_CAP = 900  # keeps the int64 cross-multiplied fraction compares exact
 
 # A running worst pair: (d_+^2, n |A| |B|, (A, B)), with no pair before the first.
 _Best = tuple[int, int, Optional[tuple[int, int]]]
-
-
-def vertex_mask(vertices: Iterable[int]) -> int:
-    """Pack an iterable of vertex indices into a bitmask."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
 
 
 def _check_mask(t: Tournament, mask: int, name: str) -> None:
@@ -259,11 +251,9 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
         dd = np.where(dv > 0, dv * dv, 0)
         violations += int((dd > den).sum())
         tied = _rows_at_max(dd, den)
-        if tied.size > 1:
-            # lexsort's last key is its primary: A's highest vertex first.
-            keys = np.concatenate((b_ind[tied], a_ind[tied]), axis=1).T
-            tied = tied[np.lexsort(keys)]
-        r = tied[0]
+        # lexsort's last key is its primary: A's highest vertex first.
+        keys = np.concatenate((b_ind[tied], a_ind[tied]), axis=1).T
+        r = tied[np.lexsort(keys)[0]]
         pair = (
             vertex_mask(np.flatnonzero(a_ind[r]).tolist()),
             vertex_mask(np.flatnonzero(b_ind[r]).tolist()),
@@ -314,4 +304,4 @@ def check_theorem_bound(t: Tournament, c_value: int) -> BoundCheck:
     if not (0 <= c_value <= total):
         raise ValueError(f"c_value {c_value} outside 0..{total}")
     rhs = total / 2 + gap_bound(t.n)
-    return BoundCheck(c_value, rhs, c_value <= rhs, rhs >= total)
+    return BoundCheck(c_value, rhs, c_value <= rhs, bound_is_vacuous(t.n))

@@ -221,12 +221,6 @@ class FiniteField:
     def one(self) -> Element:
         return (1,) + (0,) * (self.k - 1)
 
-    def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a: Element) -> Element:
-        return tuple((-x) % self.p for x in a)
-
     def mul(self, a: Element, b: Element) -> Element:
         p, k = self.p, self.k
         raw = [0] * (2 * k - 1)

@@ -12,10 +12,10 @@ The generator is SplitMix64 run in counter mode: draw ``i`` of the stream for
     MIX_MULT_2   = 0x94D049BB133111EB
 
 Counter mode (rather than a chained state) is what lets the numpy block
-function `trit_block` reproduce the scalar stream exactly; the equivalence is
-covered by tests.  Derived quantities keep their documented bias bounds:
-coins use the top bit (exact), trits use ``floor(3 * hi32 / 2**32)`` whose
-bias is below 2**-32 and therefore irrelevant for statistical sampling.
+functions reproduce the scalar stream exactly; the equivalence is covered by
+tests.  Both map a draw to ``floor(k * hi32 / 2**32)``: coins (k = 2) take
+its top bit (exact), trits (k = 3) have bias below 2**-32 and therefore
+irrelevant for statistical sampling.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class SplitMix64:
         return (3 * (self.u64() >> 32)) >> 32
 
 
-_TRIT_SUB_BLOCK = 1 << 16  # draws per pass of trit_block: 512 KiB of uint64
+_SUB_BLOCK = 1 << 16  # draws per pass of _uniform_block: 512 KiB of uint64
 
 
 def _finalize_in_place(z: np.ndarray, scratch: np.ndarray) -> None:
@@ -78,27 +78,37 @@ def _finalize_in_place(z: np.ndarray, scratch: np.ndarray) -> None:
     z ^= scratch
 
 
-def trit_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized counterpart of SplitMix64.trit (uint8 array).
+def _uniform_block(seed: int, start: int, count: int, k: int) -> np.ndarray:
+    """floor(k * hi32 / 2**32) of draws start .. start + count - 1, as uint8.
 
-    The draws are made _TRIT_SUB_BLOCK at a time in two reused uint64
-    buffers, so the only count-sized array is the uint8 result.
+    The draws are made _SUB_BLOCK at a time in two reused uint64 buffers, so
+    the only count-sized array is the uint8 result.
     """
     out = np.empty(count, dtype=np.uint8)
-    sub = min(count, _TRIT_SUB_BLOCK)
+    sub = min(count, _SUB_BLOCK)
     # Draw start + lo + i mixes base + steps[i], base = seed + (start + lo) * GAMMA.
     steps = np.arange(1, sub + 1, dtype=np.uint64)
     steps *= np.uint64(GOLDEN_GAMMA)
     z = np.empty(sub, dtype=np.uint64)
     scratch = np.empty(sub, dtype=np.uint64)
-    for lo in range(0, count, _TRIT_SUB_BLOCK):
-        m = min(_TRIT_SUB_BLOCK, count - lo)
+    for lo in range(0, count, _SUB_BLOCK):
+        m = min(_SUB_BLOCK, count - lo)
         base = (seed + (start + lo) * GOLDEN_GAMMA) & _MASK64
         zz = z[:m]
         np.add(steps[:m], np.uint64(base), out=zz)
         _finalize_in_place(zz, scratch[:m])
         zz >>= np.uint64(32)
-        zz *= np.uint64(3)
+        zz *= np.uint64(k)
         zz >>= np.uint64(32)
         out[lo : lo + m] = zz
     return out
+
+
+def coin_block(seed: int, start: int, count: int) -> np.ndarray:
+    """Vectorized counterpart of SplitMix64.coin (uint8 array)."""
+    return _uniform_block(seed, start, count, 2)
+
+
+def trit_block(seed: int, start: int, count: int) -> np.ndarray:
+    """Vectorized counterpart of SplitMix64.trit (uint8 array)."""
+    return _uniform_block(seed, start, count, 3)

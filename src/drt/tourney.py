@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
 from .diffset import CandidateSet, is_skew
 from .groups import ORDER_CAP
-from .rng import SplitMix64
+from .rng import coin_block
 from .verdict import Verdict
 
 
@@ -111,6 +112,14 @@ def common_out_neighbors(t: Tournament, x: int, y: int) -> set[int]:
     return set(mask_vertices(t.rows[x] & t.rows[y]))
 
 
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """Pack an iterable of vertex indices into a bitmask."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def mask_vertices(mask: int) -> list[int]:
     """Unpack a bitmask into a sorted vertex list."""
     out = []
@@ -172,14 +181,16 @@ def verify_gram_identities(t: Tournament) -> Verdict:
     their own.  The verdict names the first mismatching entry.
     """
     n = t.n
-    s = signed_adjacency(t).astype(np.float64)
+    m = _unpack(t)
+    s = np.subtract(m, m.T, dtype=np.float64)
     got = s @ s.T
-    want = n * np.eye(n) - 1
-    bad = np.argwhere(got != want)
+    got.flat[:: n + 1] -= n  # n I - J becomes -J: every entry should be -1
+    bad = np.argwhere(got != -1)
     if bad.size:
-        i, j = bad[0]
+        i, j = (int(v) for v in bad[0])
+        diag = n if i == j else 0
         return Verdict.failed(
-            f"SS^T entry ({i}, {j}) = {int(got[i, j])}, expected {int(want[i, j])}"
+            f"SS^T entry ({i}, {j}) = {int(got[i, j]) + diag}, expected {diag - 1}"
         )
     return Verdict.passed()
 
@@ -195,9 +206,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
         raise ValueError(f"need at least one vertex, got n = {n}")
     if n > ORDER_CAP:
         raise ValueError(f"n = {n} is above ORDER_CAP = {ORDER_CAP}")
-    gen = SplitMix64(seed)
-    pairs = n * (n - 1) // 2
-    coins = np.fromiter((gen.coin() for _ in range(pairs)), np.uint8, count=pairs)
+    coins = coin_block(seed, 0, n * (n - 1) // 2)
     # a boolean mask selects the upper triangle in row-major pair order
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     bits = np.zeros((n, n), dtype=np.uint8)
@@ -234,7 +243,7 @@ def parse_tournament(text: str) -> Tournament:
             raise ValueError(
                 f"line {i + 2}: invalid character {sorted(bad)[0]!r}"
             )
-        rows.append(int(line[::-1], 2) if "1" in line else 0)
+        rows.append(int(line[::-1], 2))
     for extra, line in enumerate(lines[n + 1 :], start=n + 2):
         if line.strip():
             raise ValueError(f"line {extra}: unexpected content {line.strip()!r}")

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from drt import cli
 from drt.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -131,7 +132,24 @@ def test_cayley_rejects_non_skew_with_exit_1(tmp_path, capsys):
     path = tmp_path / "notskew.txt"
     path.write_text("Z7\n2 3 5\n")
     assert main(["tourney", "cayley", str(path)]) == 1
-    assert "skew" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "drt: set is not skew: both (2,) and -(2,) = (5,) present\n"
+    )
+
+
+@pytest.mark.parametrize("exc", [MemoryError, AssertionError, RuntimeError])
+def test_any_exception_exits_2_with_one_line(monkeypatch, capsys, exc):
+    # exit 1 is a verdict; a crash inside a command must never read as one
+    def boom(*args):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "random_tournament", boom)
+    with pytest.raises(SystemExit) as info:
+        main(["tourney", "random", "--n", "5"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"drt: error: {exc.__name__}: boom\n"
+    assert "Traceback" not in err
 
 
 def test_parse_error_exits_2(tmp_path):

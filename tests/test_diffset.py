@@ -249,6 +249,16 @@ def test_equivalence_rejects_mixed_groups():
         are_equivalent(D7, other)
 
 
+def test_classify_refuses_mixed_groups_before_any_search(monkeypatch):
+    def search(*args):
+        raise AssertionError("classify searched before it checked the groups")
+
+    monkeypatch.setattr("drt.diffset.are_equivalent", search)
+    other = candidate_from_indices(make_group((11,)), [1, 3, 4, 5, 9])
+    with pytest.raises(ValueError, match=r"all sets must share one group, got \['Z11', 'Z7'\]"):
+        classify([D7, D7, other])
+
+
 def test_classify_merges_affine_images():
     images = [
         candidate_from_indices(Z7, sorted((u * x + g) % 7 for x in [1, 2, 4]))

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from drt.rng import (
-    _TRIT_SUB_BLOCK,
+    _SUB_BLOCK,
     SplitMix64,
+    coin_block,
     derive_seed,
     mix64,
     trit_block,
@@ -52,13 +53,14 @@ def test_trits_match_scalar_path():
 @pytest.mark.parametrize("seed", [7, 2**64 - 5])
 def test_trits_across_sub_blocks_match_scalar_path(seed):
     # two full sub-blocks and a partial third, from an offset counter
-    start, count = 12_345, 2 * _TRIT_SUB_BLOCK + 1001
-    rng = SplitMix64(seed, counter=start)
-    scalar = [rng.trit() for _ in range(count)]
-    block = trit_block(seed, start, count)
-    assert block.dtype == np.uint8
-    assert block.tolist() == scalar
-    assert trit_block(seed, start, 0).size == 0
+    start, count = 12_345, 2 * _SUB_BLOCK + 1001
+    for draw, block_fn in ((SplitMix64.trit, trit_block), (SplitMix64.coin, coin_block)):
+        rng = SplitMix64(seed, counter=start)
+        scalar = [draw(rng) for _ in range(count)]
+        block = block_fn(seed, start, count)
+        assert block.dtype == np.uint8
+        assert block.tolist() == scalar
+        assert block_fn(seed, start, 0).size == 0
 
 
 def test_coin_is_top_bit():

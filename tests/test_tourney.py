@@ -543,3 +543,12 @@ def test_paley_2187_scale():
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 2**20, f"cayley_tournament peaked at {peak / 2**20:.1f} MiB"
+    # S and S S^T are the only n x n float64 arrays the Gram check holds
+    tracemalloc.start()
+    try:
+        verify_gram_identities(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    square = 8 * t.n**2
+    assert peak <= 2.5 * square, f"Gram check peaked at {peak / square:.2f}x 8n^2 bytes"
