@@ -27,6 +27,7 @@ from .tourney import Tournament, mask_vertices, signed_adjacency, vertex_mask
 SWEEP_CAP = 16
 _SWEEP_SLICE_PAIRS = 1 << 16  # pairs per sweep matmul; bounds its temporaries
 SAMPLE_CAP = 900  # keeps the int64 cross-multiplied fraction compares exact
+_SAMPLE_CHUNK_TRITS = 1 << 18  # trits per sampled chunk; bounds its temporaries
 
 # A running worst pair: (d_+^2, n |A| |B|, (A, B)), with no pair before the first.
 _Best = tuple[int, int, Optional[tuple[int, int]]]
@@ -202,7 +203,10 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
     2 -> B, 0 -> neither); assignments with an empty side are skipped and do
     not count toward `samples`.  The pairs checked are the first `samples`
     valid rows of the stream; each chunk draws only as many rows as samples
-    remain, so no trit is drawn past the last row that can be used.
+    remain, so no trit is drawn past the last row that can be used.  A chunk
+    holds at most _SAMPLE_CHUNK_TRITS trits (one row at least), so its
+    temporaries are a few MiB at any n, and its size cannot change a result.
+    d is exact in float32, as its partial sums stay within n^2/4 < 2^24.
 
     The worst pair is found per chunk without a loop over rows.  The ratio
     d_+^2 / (n |A| |B|) is formed in float64: numerator and denominator are
@@ -221,10 +225,13 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
         raise ValueError(f"sampled check supports n <= {SAMPLE_CAP}, got {n}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    # Every partial sum of d is an integer of size at most n^2 < 2^53, so the
-    # float64 matmul (far faster than int64, which has no BLAS path) is exact.
-    signed = signed_adjacency(t).astype(np.float64)
-    chunk_rows = 1 << 15
+    # Every partial sum of d is an integer of size at most |A||B| <= n^2/4 <
+    # 2^24, so the float32 matmul and row dot (far faster than int64, which
+    # has no BLAS path) are exact in any summation order.  Column n is all
+    # ones, so the one matmul also gives |A|.
+    signed = np.ones((n, n + 1), dtype=np.float32)
+    signed[:, :n] = signed_adjacency(t)
+    chunk_rows = max(1, _SAMPLE_CHUNK_TRITS // n)
     collected = 0
     violations = 0
     best: _Best = (0, 1, None)
@@ -236,27 +243,28 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
         rows = min(chunk_rows, samples - collected)
         trits = trit_block(seed, start * n, rows * n).reshape(rows, n)
         start += rows
-        a_ind = trits == 1
-        b_ind = trits == 2
-        na = a_ind.sum(axis=1).astype(np.int64)
-        nb = b_ind.sum(axis=1).astype(np.int64)
+        a_ind = (trits == 1).astype(np.float32)
+        b_ind = (trits == 2).astype(np.float32)
+        m = a_ind @ signed
+        na = m[:, n].astype(np.int64)
+        nb = (b_ind @ signed[:, n]).astype(np.int64)
         valid = np.flatnonzero((na > 0) & (nb > 0))
         if valid.size == 0:
             continue
         collected += int(valid.size)
-        a_ind, b_ind = a_ind[valid], b_ind[valid]
         # d_i = sum_{j in A_i, k in B_i} signed[j, k] = e(A,B) - e(B,A)
-        dv = ((a_ind @ signed) * b_ind).sum(axis=1).astype(np.int64)
+        dv = np.einsum("ij,ij->i", m[:, :n], b_ind)[valid].astype(np.int64)
         den = n * na[valid] * nb[valid]
         dd = np.where(dv > 0, dv * dv, 0)
         violations += int((dd > den).sum())
         tied = _rows_at_max(dd, den)
+        at = valid[tied]
         # lexsort's last key is its primary: A's highest vertex first.
-        keys = np.concatenate((b_ind[tied], a_ind[tied]), axis=1).T
-        r = tied[np.lexsort(keys)[0]]
+        k = np.lexsort(np.concatenate((b_ind[at], a_ind[at]), axis=1).T)[0]
+        r, row = tied[k], at[k]
         pair = (
-            vertex_mask(np.flatnonzero(a_ind[r]).tolist()),
-            vertex_mask(np.flatnonzero(b_ind[r]).tolist()),
+            vertex_mask(np.flatnonzero(a_ind[row]).tolist()),
+            vertex_mask(np.flatnonzero(b_ind[row]).tolist()),
         )
         best = _fold_best(best, int(dd[r]), int(den[r]), pair)
     return MixingReport("sampled", samples, violations, *best)

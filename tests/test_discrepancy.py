@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 
 import drt.discrepancy
 from drt.discrepancy import (
+    SAMPLE_CAP,
     MixingReport,
     _rows_at_max,
     bound_is_vacuous,
@@ -360,6 +362,44 @@ def test_sampled_matches_reference_loop(sampled_tournaments, name, samples):
     for seed in (0, 1, 2):
         want = _sampled_reference(t, samples, seed)
         assert sampled_mixing_check(t, samples, seed) == want
+
+
+@pytest.mark.parametrize("per_chunk", [(1, 0), (3, 0), (40, 1)])
+def test_sampled_folds_ties_across_chunks(monkeypatch, sampled_tournaments, per_chunk):
+    # Chunks of 1, 3 and 40 rows, so the rows tied at the maximum sit in
+    # different chunks and meet only in the running best.
+    rows, extra = per_chunk
+    for name in ("t7", "transitive8", "t27", "random13"):
+        t = sampled_tournaments[name]
+        monkeypatch.setattr(drt.discrepancy, "_SAMPLE_CHUNK_TRITS", rows * t.n + extra)
+        for samples in (1, 300, 2000):
+            want = _sampled_reference(t, samples, 0)
+            assert sampled_mixing_check(t, samples, 0) == want
+
+
+def test_sampled_frozen_at_cap():
+    # Frozen from the float64 kernel with 32768-row chunks, which peaked at
+    # 73 MiB here; the reference loop would draw about 0.5 GiB at n = 900.
+    t = random_tournament(900, 5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        r = sampled_mixing_check(t, 4096, 0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (r.pairs_checked, r.violations) == (4096, 0)
+    assert (r.max_numerator, r.max_denominator) == (1159929, 83708100)
+    digest = hashlib.sha256(repr(r.worst_pair).encode()).hexdigest()
+    assert digest == "7ba8c98aa2bba773214a82eb00352eef1b1add36d30d94fdd3b8c8593260a845"
+    # measured: about 16 MiB
+    assert peak <= 24 * 2**20, f"n=900 sample peaked at {peak} bytes"
+
+
+def test_sample_cap_keeps_float32_exact():
+    # Partial sums of d reach |A||B| <= n^2/4; float32 holds integers below 2^24.
+    assert SAMPLE_CAP**2 // 4 < 2**24
 
 
 @pytest.mark.parametrize("n,samples", [(2, 1), (2, 5000), (7, 300), (27, 40000)])
