@@ -213,6 +213,26 @@ def _out_degree_order(t: Tournament) -> list[int]:
     return order
 
 
+def _local_search_moves(signed: np.ndarray, order: np.ndarray):
+    """Apply best reinsertions to `order` in place, yielding (order, table)."""
+    n = order.size
+    vertices, pos = np.arange(n), np.argsort(order)
+    table = np.zeros((n + 1, n), dtype=np.int32)
+    np.cumsum(signed[order], axis=0, out=table[1:])
+    while True:
+        top = table.max(axis=0)
+        gain = top - table[pos, vertices]
+        v = int(gain.argmax())
+        if gain[v] <= 0:
+            return
+        i, r = int(pos[v]), int((table[:, v] == top[v]).argmax())
+        lo, hi, d = (r, i, 1) if r <= i else (i, r - 1, -1)  # to r, or to r - 1
+        order[lo : hi + 1] = np.roll(order[lo : hi + 1], d)
+        np.add(table[lo + 1 - d : hi + 1 - d], d * signed[v], out=table[lo + 1 : hi + 1])
+        pos[order[lo : hi + 1]] = vertices[lo : hi + 1]
+        yield order, table
+
+
 def heuristic_rank(t: Tournament, strategy: str = "local-search") -> RankingResult:
     """Fast rankings without optimality: 'out-degree' or 'local-search'.
 
@@ -220,14 +240,14 @@ def heuristic_rank(t: Tournament, strategy: str = "local-search") -> RankingResu
     best single-vertex reinsertion (ties: smallest moved vertex, then smallest
     target position) until no move improves the count.
 
-    A pass scores all n(n-1) reinsertions at once.  With the signed adjacency
-    permuted into the current order, M[i, k] = +1 iff order[k] -> order[i]
-    (else -1, and 0 on the diagonal), and C its row-wise cumulative sum:
-    moving the vertex at position i rightward to j flips its pairs with
-    positions i+1..j, each gaining an edge iff it points at the mover, so the
-    delta is C[i, j] - C[i, i]; leftward to j it is C[i, j-1] - C[i, i-1]
-    (with C[i, -1] = 0).  `work` counts the n(n-1) moves of every pass,
-    including the last one, which finds no improvement.
+    A pass scores all n(n-1) reinsertions from one int32 prefix table, rows by
+    position, columns by vertex: table[r, v] sums S[order[k], v] over k < r
+    (S = M - M^T).  Moving v from position i to j < i gains table[j, v] -
+    table[i, v], to j > i table[j+1, v] - table[i, v] (S[v, v] = 0): v's column
+    lists its moves by target, so the first argmax over vertices, then rows,
+    is the old tie-break.  A move rotates order[lo..hi] and changes only rows
+    lo+1..hi (to old rows lo..hi-1 plus S[v], or lo+2..hi+1 minus S[v]).
+    `work` counts n(n-1) moves for every pass, including the last.
     """
     n = t.n
     if strategy == "out-degree":
@@ -238,27 +258,8 @@ def heuristic_rank(t: Tournament, strategy: str = "local-search") -> RankingResu
             f"unknown strategy {strategy!r}: expected 'out-degree' or 'local-search'"
         )
     order = np.array(_out_degree_order(t), dtype=np.intp)
-    # beaten_by[x, y] = +1 iff y -> x; int32 holds every sum (|C| < n).
-    beaten_by = -signed_adjacency(t).astype(np.int32)
-    rightward = np.triu(np.ones((n, n), dtype=bool), k=1)
-    diag = np.arange(n)
-    cums = np.zeros((n, n + 1), dtype=np.int32)  # cums[:, k + 1] = C[:, k]
-    work = 0
-    while True:
-        work += n * (n - 1)
-        permuted = beaten_by[np.ix_(order, order)]
-        np.cumsum(permuted, axis=1, dtype=np.int32, out=cums[:, 1:])
-        right = cums[:, 1:] - cums[diag, diag + 1][:, None]
-        left = cums[:, :-1] - cums[diag, diag][:, None]
-        delta = np.where(rightward, right, left)  # the diagonal (no move) is 0
-        best = delta.max(initial=0)
-        if best <= 0:
-            break
-        src, dst = np.nonzero(delta == best)
-        k = np.argmin(order[src] * n + dst)  # smallest (vertex, target position)
-        i, j = int(src[k]), int(dst[k])
-        v = order[i]
-        order = np.insert(np.delete(order, i), j, v)
+    signed = signed_adjacency(t).astype(np.int32)
+    work = n * (n - 1) * (1 + sum(1 for _ in _local_search_moves(signed, order)))
     return _result(t, _order_to_ranking(order.tolist()), "local-search", work)
 
 

@@ -87,6 +87,13 @@ def _pack(bits: np.ndarray) -> tuple[int, ...]:
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
+def _from_valid(bits: np.ndarray) -> Tournament:
+    """The Tournament of a 0/1 matrix valid by construction, left unchecked."""
+    t = object.__new__(Tournament)
+    t.__dict__.update(n=len(bits), rows=_pack(bits))
+    return t
+
+
 def cayley_tournament(d: CandidateSet) -> Tournament:
     """Cayley tournament of a skew set: x -> y iff x - y in D.
 
@@ -102,7 +109,7 @@ def cayley_tournament(d: CandidateSet) -> Tournament:
     adjacency = np.zeros((n, n), dtype=np.uint8)
     for dd in d.indices:  # x -> y iff y = x - dd
         adjacency[vertices, group.sub_indices(vertices, dd)] = 1
-    return Tournament(n, _pack(adjacency))
+    return _from_valid(adjacency)
 
 
 def common_out_neighbors(t: Tournament, x: int, y: int) -> set[int]:
@@ -212,7 +219,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     bits = np.zeros((n, n), dtype=np.uint8)
     bits[upper] = coins
     bits.T[upper] = 1 - coins
-    return Tournament(n, _pack(bits))
+    return _from_valid(bits)
 
 
 # --------------------------------------------------------------------------

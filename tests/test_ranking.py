@@ -11,6 +11,9 @@ from drt.groups import make_field
 from drt.ranking import (
     RankingResult,
     _dp_table,
+    _local_search_moves,
+    _order_to_ranking,
+    _out_degree_order,
     check_ranking,
     count_consistent,
     dp_table_nbytes,
@@ -20,7 +23,7 @@ from drt.ranking import (
     reverse_ranking,
 )
 from drt.rng import derive_seed
-from drt.tourney import Tournament, cayley_tournament, random_tournament
+from drt.tourney import Tournament, cayley_tournament, random_tournament, signed_adjacency
 
 from conftest import brute_force_max, rotational, transitive
 
@@ -277,7 +280,7 @@ def _local_search_reference(t: Tournament) -> tuple[int, tuple[int, ...], int]:
 
 
 def _local_search_cases():
-    for n in range(1, 41):
+    for n in (*range(1, 41), 48, 64):
         yield pytest.param(random_tournament(n, derive_seed(41, n)), id=f"random{n}")
     for n in (7, 11):
         for signs in itertools.product((0, 1), repeat=n // 2):
@@ -301,6 +304,36 @@ def test_local_search_frozen_at_q243(paley):
     assert (r.value, r.work) == (16071, 11_055_528)
     digest = hashlib.sha256(",".join(map(str, r.ranking)).encode()).hexdigest()
     assert digest == "4870f2ef4faa47ffeb20a1ecf769cd548617bd252896fe96d11e8d965bd7c129"
+
+
+def test_local_search_frozen_at_q251(paley):
+    # one pass: the out-degree order of Paley 251 admits no improving move
+    r = heuristic_rank(paley(251), strategy="local-search")
+    assert (r.value, r.work) == (16566, 62_750)
+    digest = hashlib.sha256(",".join(map(str, r.ranking)).encode()).hexdigest()
+    assert digest == "0fca10415adcaee4e16d877bdaacd333dc86729a3cb81aae011bb85adabeab81"
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        pytest.param(cayley_tournament(paley_set(make_field(3, 3))), id="paley27"),
+        pytest.param(random_tournament(40, derive_seed(41, 40)), id="random40"),
+    ],
+)
+def test_local_search_table_matches_fresh_prefix_sums(t):
+    n = t.n
+    signed = signed_adjacency(t).astype(np.int32)
+    order = np.array(_out_degree_order(t), dtype=np.intp)
+    moves = 0
+    for moved, table in _local_search_moves(signed, order):
+        fresh = np.zeros((n + 1, n), dtype=np.int32)
+        np.cumsum(signed[moved], axis=0, out=fresh[1:])
+        assert np.array_equal(table, fresh)
+        moves += 1
+    r = heuristic_rank(t, strategy="local-search")
+    assert moves > 0
+    assert (_order_to_ranking(order.tolist()), (moves + 1) * n * (n - 1)) == (r.ranking, r.work)
 
 
 def test_unknown_strategy():

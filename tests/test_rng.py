@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -61,6 +63,17 @@ def test_trits_across_sub_blocks_match_scalar_path(seed):
         assert block.dtype == np.uint8
         assert block.tolist() == scalar
         assert block_fn(seed, start, 0).size == 0
+
+
+def test_many_calls_draw_the_one_call_stream():
+    # calls that end inside, at and just past a sub-block, and short calls
+    # after long ones, all continue the counter stream of one call
+    sizes = [1, _SUB_BLOCK - 1, _SUB_BLOCK, _SUB_BLOCK + 1, 1 << 18, 1, _SUB_BLOCK + 1, 1]
+    seed, start = 2**64 - 3, 999
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    for block_fn in (trit_block, coin_block):
+        parts = [block_fn(seed, start + lo, m) for lo, m in zip(bounds, sizes)]
+        assert np.array_equal(np.concatenate(parts), block_fn(seed, start, bounds[-1]))
 
 
 def test_coin_is_top_bit():

@@ -323,6 +323,17 @@ def test_random_tournament_matches_per_pair_build(n):
         assert random_tournament(n, seed).rows == _random_rows_reference(n, seed)
 
 
+def test_builders_pass_the_full_check(paley):
+    # both builders skip Tournament.__post_init__; rebuilding through the
+    # public constructor runs every check on what they made
+    built = [paley(p, k) for p, k in ((3, 1), (7, 1), (11, 1), (19, 1), (23, 1),
+                                      (3, 3), (3, 5), (251, 1))]
+    built += [random_tournament(n, seed) for n in range(1, 65) for seed in (0, 1)]
+    for t in built:
+        assert type(t) is Tournament
+        assert Tournament(t.n, t.rows) == t
+
+
 def test_random_tournament_refuses_orders_above_the_cap():
     with pytest.raises(ValueError, match="ORDER_CAP"):
         random_tournament(2**16 + 1, 0)
