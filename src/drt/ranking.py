@@ -226,7 +226,7 @@ def _local_search_moves(signed: np.ndarray, order: np.ndarray):
         if gain[v] <= 0:
             return
         i, r = int(pos[v]), int((table[:, v] == top[v]).argmax())
-        lo, hi, d = (r, i, 1) if r <= i else (i, r - 1, -1)  # to r, or to r - 1
+        lo, hi, d = (r, i, 1) if r <= i else (i, r - 1, -1)  # left to r, right to r-1
         order[lo : hi + 1] = np.roll(order[lo : hi + 1], d)
         np.add(table[lo + 1 - d : hi + 1 - d], d * signed[v], out=table[lo + 1 : hi + 1])
         pos[order[lo : hi + 1]] = vertices[lo : hi + 1]
