@@ -7,14 +7,14 @@ comes from a subset dynamic program over the 2^n prefix sets:
     best(S) = max over v in S of  best(S \\ {v})  +  |{u in S \\ {v} : u -> v}|
 
 where S is the set of earliest-ranked |S| vertices and v the last among them.
-The value table is one uint16 per subset (2^(n+1) bytes: 2 MiB at n = 20,
-16 MiB at n = 23, 32 MiB at the hard cap 24).  It is filled in numeric-order
+The value table is one byte per subset up to n = 23 (1 MiB at n = 20, 8 MiB
+at 23) and two at the hard cap 24 (32 MiB).  It is filled in numeric-order
 blocks (see `_dp_table`): rows of 2^8 low-vertex subsets, swept by the
 popcount of their high vertices, a bounded slice of rows at a time, and the
 columns of each row by their own popcount.  Measured in-process on one core
-of a 2-vCPU VM (Python 3.11, numpy 2.4), median of 7 runs: 28 ms at n = 20,
-0.11 s at n = 22, 0.20 s at n = 23, 0.49 s at n = 24; the tracemalloc peak
-of the whole call is 1.12-1.14x the table at n = 20-24.  Reconstruction
+of a 2-vCPU VM (Python 3.11, numpy 2.4), median of 7 runs: 21 ms at n = 20,
+59 ms at n = 22, 93 ms at n = 23, 0.34 s at n = 24; the tracemalloc peak of
+the whole call is 1.15-1.20x the table at n = 20-24.  Reconstruction
 backtracks through the table, breaking ties toward the smallest vertex index.
 """
 
@@ -92,9 +92,14 @@ def reverse_ranking(ranking) -> tuple[int, ...]:
     return tuple(n - r + 1 for r in ranking)
 
 
+def _dp_dtype(n: int) -> type:
+    """Narrowest type holding binom(n, 2): uint8 to n = 23 (253), then uint16."""
+    return np.uint8 if n * (n - 1) // 2 <= 0xFF else np.uint16
+
+
 def dp_table_nbytes(n: int) -> int:
-    """Bytes in the DP value table at size n (uint16 per subset)."""
-    return 2 << n
+    """Bytes in the DP value table at size n (2^n entries of `_dp_dtype(n)`)."""
+    return np.dtype(_dp_dtype(n)).itemsize << n
 
 
 def _check_dp_cap(n: int) -> None:
@@ -106,11 +111,15 @@ def _check_dp_cap(n: int) -> None:
         )
 
 
-_BLOCK_BITS = 8  # low vertices per table row: rows of 256 uint16 entries
+_BLOCK_BITS = 8  # low vertices per table row: rows of 256 entries
 
 
 def _dp_table(t: Tournament) -> np.ndarray:
-    """best[S] for every subset S of the vertices, as a flat uint16 array.
+    """best[S] for every subset S of the vertices, as a flat array.
+
+    Every entry and every candidate, partial sums included, counts consistent
+    edges of a sub-tournament on S, so it is at most binom(n, 2); the table is
+    `_dp_dtype(n)`, one byte per subset up to n = 23, and no sum can wrap.
 
     The table is swept as a (2^(n-b), 2^b) array: row h holds the subsets
     whose high vertices b..n-1 are the bits of h, column l their low vertices
@@ -121,15 +130,18 @@ def _dp_table(t: Tournament) -> np.ndarray:
     low vertex stays in the row, so inside a row the columns are swept by
     their popcount.  A layer of rows is updated max(2^(n-b) / 32, 2^(14-b))
     rows at a time, which keeps the scratch arrays a small fraction of the
-    table.
+    table.  The low-vertex steps run on the transposed slice, one row per
+    column l: gathering columns of the slice would copy one element at a
+    time, while rows of its transpose copy whole and reduce over a long axis.
     """
     n = t.n
     b = min(n, _BLOCK_BITS)
     width, nrows = 1 << b, 1 << (n - b)
-    best = np.zeros((nrows, width), dtype=np.uint16)
+    dtype = _dp_dtype(n)
+    best = np.zeros((nrows, width), dtype=dtype)
     in_rows = np.array(t.in_rows, dtype=np.uint32)
     cols = np.arange(width, dtype=np.uint32)
-    col_gain = np.bitwise_count(in_rows[:, None] & cols).astype(np.uint16)
+    col_gain = np.bitwise_count(in_rows[:, None] & cols).astype(dtype)
     in_high = in_rows >> b
     # Per low popcount j: the columns l of that popcount, and for each of them
     # its j low vertices v, the columns l ^ 2^v they leave, and their gains.
@@ -139,7 +151,7 @@ def _dp_table(t: Tournament) -> np.ndarray:
         tgt = np.flatnonzero(col_pc == j)
         v = np.nonzero((tgt[:, None] >> np.arange(b)) & 1)[1].reshape(tgt.size, j)
         src = tgt[:, None] ^ (1 << v)
-        low_steps.append((tgt, src, v, col_gain[v, src]))
+        low_steps.append((tgt, src, v, col_gain[v, src][:, :, None]))
     row_pc = np.bitwise_count(np.arange(nrows, dtype=np.uint32))
     height = max(nrows // 32, (1 << 14) >> b)
     high_bits = np.arange(n - b, dtype=np.uint32)
@@ -147,8 +159,8 @@ def _dp_table(t: Tournament) -> np.ndarray:
         layer = np.flatnonzero(row_pc == k).astype(np.uint32)
         for lo in range(0, layer.size, height):
             hs = layer[lo : lo + height]
-            row_gain = np.bitwise_count(hs[:, None] & in_high).astype(np.uint16)
-            block = np.zeros((hs.size, width), dtype=np.uint16)
+            row_gain = np.bitwise_count(hs[:, None] & in_high).astype(dtype)
+            block = np.zeros((hs.size, width), dtype=dtype)
             # The k high vertices of each row, lowest first.
             high = np.nonzero((hs[:, None] >> high_bits) & 1)[1].reshape(hs.size, k)
             for i in range(k):
@@ -157,12 +169,14 @@ def _dp_table(t: Tournament) -> np.ndarray:
                 cand += col_gain[w]
                 cand += row_gain[np.arange(hs.size), w][:, None]
                 np.maximum(block, cand, out=block)
+            bt = np.ascontiguousarray(block.T)
+            gt = np.ascontiguousarray(row_gain[:, :b].T)
             for tgt, src, v, gain in low_steps:
-                cand = block[:, src]
+                cand = bt[src]
                 cand += gain
-                cand += row_gain[:, v]
-                block[:, tgt] = np.maximum(block[:, tgt], cand.max(axis=2))
-            best[hs] = block
+                cand += gt[v]
+                bt[tgt] = np.maximum(bt[tgt], cand.max(axis=1))
+            best[hs] = bt.T
     return best.reshape(-1)
 
 
@@ -247,7 +261,9 @@ def heuristic_rank(t: Tournament, strategy: str = "local-search") -> RankingResu
     lists its moves by target, so the first argmax over vertices, then rows,
     is the old tie-break.  A move rotates order[lo..hi] and changes only rows
     lo+1..hi (to old rows lo..hi-1 plus S[v], or lo+2..hi+1 minus S[v]).
-    `work` counts n(n-1) moves for every pass, including the last.
+    `work` counts n(n-1) moves for every pass, including the last.  The start
+    scores at least binom(n,2)/2 and each move gains at least one, so more
+    than binom(n,2)//2 moves is a fault and raises.
     """
     n = t.n
     if strategy == "out-degree":
@@ -259,7 +275,11 @@ def heuristic_rank(t: Tournament, strategy: str = "local-search") -> RankingResu
         )
     order = np.array(_out_degree_order(t), dtype=np.intp)
     signed = signed_adjacency(t).astype(np.int32)
-    work = n * (n - 1) * (1 + sum(1 for _ in _local_search_moves(signed, order)))
+    moves = 0
+    for moves, _ in enumerate(_local_search_moves(signed, order), 1):
+        if moves > n * (n - 1) // 4:  # unreachable: each gains >= 1 from >= binom/2
+            raise AssertionError(f"local search made {moves} moves at n = {n}")
+    work = n * (n - 1) * (1 + moves)
     return _result(t, _order_to_ranking(order.tolist()), "local-search", work)
 
 

@@ -205,9 +205,21 @@ def test_exact_matches_reference_loop(t):
 def test_dp_cap_and_table_size():
     with pytest.raises(ValueError):
         exact_max_consistent(transitive(25))
-    assert dp_table_nbytes(20) == 2 << 20  # 2 MiB
+    assert dp_table_nbytes(20) == 1 << 20  # 1 MiB: one byte per subset
     assert dp_table_nbytes(20) <= 64 * 2**20
-    assert dp_table_nbytes(24) == 2 << 24
+    assert dp_table_nbytes(23) == 1 << 23
+    assert dp_table_nbytes(24) == 2 << 24  # binom(24, 2) = 276 needs two bytes
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 23, 24])
+def test_dp_table_size_and_largest_value(n):
+    # transitive(n) fills the top entry with binom(n, 2), the largest value the
+    # table must hold: 253 in the byte table at n = 23, 276 in uint16 at 24.
+    t = transitive(n)
+    table = _dp_table(t)
+    assert table.nbytes == dp_table_nbytes(n)
+    assert int(table[-1]) == n * (n - 1) // 2
+    assert exact_max_consistent(t).ranking == tuple(range(1, n + 1))
 
 
 # ---------------------------------------------------------------- heuristics
@@ -334,6 +346,17 @@ def test_local_search_table_matches_fresh_prefix_sums(t):
     r = heuristic_rank(t, strategy="local-search")
     assert moves > 0
     assert (_order_to_ranking(order.tolist()), (moves + 1) * n * (n - 1)) == (r.ranking, r.work)
+
+
+def test_local_search_fails_instead_of_looping(monkeypatch):
+    def endless(signed, order):
+        while True:
+            yield order, None
+
+    monkeypatch.setattr("drt.ranking._local_search_moves", endless)
+    # binom(6, 2) // 2 = 7 moves at most, so the eighth is a fault
+    with pytest.raises(AssertionError, match="made 8 moves"):
+        heuristic_rank(transitive(6), strategy="local-search")
 
 
 def test_unknown_strategy():
