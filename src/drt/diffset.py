@@ -79,8 +79,10 @@ def difference_profile(d: CandidateSet) -> dict[Element, int]:
     group = d.group
     members = np.array(d.indices, dtype=np.int64)
     counts = np.zeros(group.order, dtype=np.int64)
-    for a in members:
-        counts += np.bincount(group.sub_indices(a, members), minlength=group.order)
+    digits = group.digits(members)
+    for a in d.indices:
+        diffs = group.sub_digits(group.digits(a), digits)
+        counts += np.bincount(diffs, minlength=group.order)
     # index 0 is the zero element, where the pairs a = b land
     nonzero = itertools.islice(group.elements(), 1, None)
     return {g: int(c) for g, c in zip(nonzero, counts[1:])}

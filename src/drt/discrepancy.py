@@ -22,12 +22,12 @@ import numpy as np
 
 from .ranking import count_consistent
 from .rng import trit_block
-from .tourney import Tournament, mask_vertices, signed_adjacency, vertex_mask
+from .tourney import Tournament, _unpack, mask_vertices, signed_adjacency, vertex_mask
 
 SWEEP_CAP = 16
 _SWEEP_SLICE_PAIRS = 1 << 16  # pairs per sweep matmul; bounds its temporaries
 SAMPLE_CAP = 900  # keeps the int64 cross-multiplied fraction compares exact
-_SAMPLE_CHUNK_TRITS = 1 << 18  # trits per sampled chunk; bounds its temporaries
+_SAMPLE_CHUNK_TRITS = 1 << 16  # trits per sampled chunk; bounds its buffers
 
 # A running worst pair: (d_+^2, n |A| |B|, (A, B)), with no pair before the first.
 _Best = tuple[int, int, Optional[tuple[int, int]]]
@@ -204,19 +204,24 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
     not count toward `samples`.  The pairs checked are the first `samples`
     valid rows of the stream; each chunk draws only as many rows as samples
     remain, so no trit is drawn past the last row that can be used.  A chunk
-    holds at most _SAMPLE_CHUNK_TRITS trits (one row at least), so its
-    temporaries are a few MiB at any n, and its size cannot change a result.
-    d is exact in float32, as its partial sums stay within n^2/4 < 2^24.
+    holds at most _SAMPLE_CHUNK_TRITS trits (one row at least), or 256 rows
+    above n = 256, and its size cannot change a result.  The trit, indicator
+    and product buffers are allocated once per call at the first chunk's
+    size and every chunk writes into them, so a chunk allocates only its few
+    per-row vectors and the rng's 128 KiB sub-block buffers.  d is exact in
+    float32, as its partial sums stay within n^2/4 < 2^24.
 
     The worst pair is found per chunk without a loop over rows.  The ratio
     d_+^2 / (n |A| |B|) is formed in float64: numerator and denominator are
     integers below 2^53 for n <= 900, and IEEE division rounds correctly, so
     it is monotone in the exact ratio and every row attaining the chunk's
     exact maximum has the chunk's largest float.  Only the rows with that
-    float are compared in exact integers; among those at the exact maximum the
-    smallest (A, B) bitmask pair is picked by a lexsort of their indicator
-    rows, highest vertex first.  Bitmasks are built for that one row, which
-    then meets the running best under the same exact compare and tie-break.
+    float are compared in exact integers.  A chunk whose exact maximum is
+    strictly below the running best stops there; otherwise, among its rows
+    at the exact maximum the smallest (A, B) bitmask pair is picked by a
+    lexsort of their indicator rows, highest vertex first.  Bitmasks are
+    built for that one row, which then meets the running best under the same
+    exact compare and tie-break.
     """
     n = t.n
     if n < 2:
@@ -230,8 +235,16 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
     # has no BLAS path) are exact in any summation order.  Column n is all
     # ones, so the one matmul also gives |A|.
     signed = np.ones((n, n + 1), dtype=np.float32)
-    signed[:, :n] = signed_adjacency(t)
-    chunk_rows = max(1, _SAMPLE_CHUNK_TRITS // n)
+    u = _unpack(t)
+    np.subtract(u, u.T, out=signed[:, :n], dtype=np.float32)
+    del u  # n^2 bytes, not needed beside the chunk buffers
+    # Above n = 256 a chunk keeps 256 rows: with fewer, the matmul that
+    # dominates there runs slower (n = 900: 1.3 s at 72 rows, 1.0 s at 256).
+    chunk_rows = max(1, _SAMPLE_CHUNK_TRITS // min(n, 256))
+    size = min(chunk_rows, samples)
+    trit_buf = np.empty(size * n, dtype=np.uint8)
+    ind_buf = np.empty((size, n), dtype=np.float32)
+    m_buf = np.empty((size, n + 1), dtype=np.float32)
     collected = 0
     violations = 0
     best: _Best = (0, 1, None)
@@ -241,32 +254,37 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
         if start >= max_candidates:
             raise RuntimeError("sampling failed to find enough valid assignments")
         rows = min(chunk_rows, samples - collected)
-        trits = trit_block(seed, start * n, rows * n).reshape(rows, n)
+        # The tracer in perfbench wraps this module's `trit_block` binding.
+        trits = trit_block(seed, start * n, rows * n, out=trit_buf[: rows * n])
+        trits = trits.reshape(rows, n)
         start += rows
-        a_ind = (trits == 1).astype(np.float32)
-        b_ind = (trits == 2).astype(np.float32)
-        m = a_ind @ signed
+        ind, m = ind_buf[:rows], m_buf[:rows]
+        np.equal(trits, 1, out=ind)
+        np.matmul(ind, signed, out=m)
+        np.equal(trits, 2, out=ind)  # A's indicator is spent: B's replaces it
         na = m[:, n].astype(np.int64)
-        nb = (b_ind @ signed[:, n]).astype(np.int64)
+        nb = (ind @ signed[:, n]).astype(np.int64)
         valid = np.flatnonzero((na > 0) & (nb > 0))
         if valid.size == 0:
             continue
         collected += int(valid.size)
         # d_i = sum_{j in A_i, k in B_i} signed[j, k] = e(A,B) - e(B,A)
-        dv = np.einsum("ij,ij->i", m[:, :n], b_ind)[valid].astype(np.int64)
+        dv = np.einsum("ij,ij->i", m[:, :n], ind)[valid].astype(np.int64)
         den = n * na[valid] * nb[valid]
         dd = np.where(dv > 0, dv * dv, 0)
         violations += int((dd > den).sum())
         tied = _rows_at_max(dd, den)
-        at = valid[tied]
+        num_max, den_max = int(dd[tied[0]]), int(den[tied[0]])
+        if best[2] is not None and num_max * best[1] < best[0] * den_max:
+            continue  # no row of this chunk can become the worst pair
+        sides = trits[valid[tied]]
         # lexsort's last key is its primary: A's highest vertex first.
-        k = np.lexsort(np.concatenate((b_ind[at], a_ind[at]), axis=1).T)[0]
-        r, row = tied[k], at[k]
+        row = sides[np.lexsort(np.concatenate((sides == 2, sides == 1), axis=1).T)[0]]
         pair = (
-            vertex_mask(np.flatnonzero(a_ind[row]).tolist()),
-            vertex_mask(np.flatnonzero(b_ind[row]).tolist()),
+            vertex_mask(np.flatnonzero(row == 1).tolist()),
+            vertex_mask(np.flatnonzero(row == 2).tolist()),
         )
-        best = _fold_best(best, int(dd[r]), int(den[r]), pair)
+        best = _fold_best(best, num_max, den_max, pair)
     return MixingReport("sampled", samples, violations, *best)
 
 

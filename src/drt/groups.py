@@ -83,13 +83,31 @@ class AbelianGroup:
         """All elements in index order."""
         return itertools.product(*(range(m) for m in self.moduli))
 
+    def digits(self, x: np.ndarray) -> list[np.ndarray]:
+        """Each coordinate of the indices `x` times its place value, least
+        significant first, so that their sum is `x` again."""
+        out, place = [], 1
+        for m in reversed(self.moduli):
+            out.append(x % (place * m) - x % place)
+            place *= m
+        return out
+
+    def sub_digits(self, x: list, y: list) -> np.ndarray:
+        """index(sub(element(x), element(y))) from two `digits` results.
+
+        A coordinate a of place p contributes a * p, and (a - b) * p taken
+        mod m * p is ((a - b) mod m) * p, so each coordinate costs one
+        subtraction and one mod however its digits were found.
+        """
+        out, span = 0, 1
+        for xc, yc, m in zip(x, y, reversed(self.moduli)):
+            span *= m
+            out = out + (xc - yc) % span
+        return out
+
     def sub_indices(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """index(sub(element(x), element(y))) elementwise over index arrays."""
-        out, place = 0, 1
-        for m in reversed(self.moduli):  # least significant digit first
-            out = out + (x % m - y % m) % m * place
-            x, y, place = x // m, y // m, place * m
-        return out
+        return self.sub_digits(self.digits(x), self.digits(y))
 
     def __str__(self) -> str:
         return format_group_spec(self.moduli)

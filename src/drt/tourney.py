@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -64,6 +64,30 @@ class Tournament:
         """in_rows[j] has bit i set iff i -> j (column masks of the adjacency)."""
         return _pack(_unpack(self).T)
 
+    @cached_property
+    def _gram_defect(self) -> Optional[tuple[int, int, int]]:
+        """The first row-major entry (i, j) of S S^T off n I - J, with its
+        value, or None; `verify_gram_identities` and `is_doubly_regular`
+        both read it, so one product decides both.
+
+        Every diagonal entry of S S^T is n - 1, as n I - J asks, and S S^T
+        is symmetric, so that entry has i < j and should be -1.  Once every
+        out-degree is (n-1)/2, 4 M M^T = S S^T + I + (n-2) J (module
+        docstring), so x < y have (S S^T[x, y] + n - 2) / 4 common
+        out-neighbors, and (i, j) is also the first pair whose count is not
+        (n-3)/4.
+        """
+        m = _unpack(self)
+        s = np.subtract(m, m.T, dtype=np.float64)
+        got = s @ s.T
+        bad = got != -1
+        bad.flat[:: self.n + 1] = False
+        k = int(bad.argmax())  # the first True, without listing every bad entry
+        if not bad.flat[k]:
+            return None
+        i, j = divmod(k, self.n)
+        return i, j, int(got[i, j])
+
     def has_edge(self, x: int, y: int) -> bool:
         return bool((self.rows[x] >> y) & 1)
 
@@ -106,9 +130,10 @@ def cayley_tournament(d: CandidateSet) -> Tournament:
     group = d.group
     n = group.order
     vertices = np.arange(n)
+    digits = group.digits(vertices)  # once per build, not once per member
     adjacency = np.zeros((n, n), dtype=np.uint8)
     for dd in d.indices:  # x -> y iff y = x - dd
-        adjacency[vertices, group.sub_indices(vertices, dd)] = 1
+        adjacency[vertices, group.sub_digits(digits, group.digits(dd))] = 1
     return _from_valid(adjacency)
 
 
@@ -142,8 +167,10 @@ def is_doubly_regular(t: Tournament) -> Verdict:
 
     Only common out-neighbors are counted: once every out-degree is (n-1)/2,
     an edge x -> y gives out(x) = 1 + a + c and in(y) = 1 + b + c with a, b
-    the common out- and in-neighbors, so b = a.  The verdict reports the first
-    offending vertex or pair.
+    the common out- and in-neighbors, so b = a.  The counts are read off
+    the S S^T that `verify_gram_identities` checks, formed once per
+    tournament (see `Tournament._gram_defect`).  The verdict reports the
+    first offending vertex or pair.
     """
     n = t.n
     if n < 3:
@@ -157,15 +184,12 @@ def is_doubly_regular(t: Tournament) -> Verdict:
             return Verdict.failed(
                 f"degree: vertex {v} has out-degree {deg}, expected {half}"
             )
-    quarter = (n - 3) // 4
-    m = _unpack(t).astype(np.float64)
-    common = m @ m.T  # common out-neighbours of every pair
-    bad = np.argwhere(np.triu(common != quarter, 1))
-    if bad.size:
-        x, y = (int(v) for v in bad[0])
+    defect = t._gram_defect
+    if defect is not None:
+        x, y, g = defect
         return Verdict.failed(
-            f"pair ({x}, {y}): common out-neighbors {int(common[x, y])},"
-            f" expected {quarter}"
+            f"pair ({x}, {y}): common out-neighbors {(g + n - 2) // 4},"
+            f" expected {(n - 3) // 4}"
         )
     return Verdict.passed()
 
@@ -187,18 +211,10 @@ def verify_gram_identities(t: Tournament) -> Verdict:
     S is skew, so S^T S = S S^T and column inner products need no check of
     their own.  The verdict names the first mismatching entry.
     """
-    n = t.n
-    m = _unpack(t)
-    s = np.subtract(m, m.T, dtype=np.float64)
-    got = s @ s.T
-    got.flat[:: n + 1] -= n  # n I - J becomes -J: every entry should be -1
-    bad = np.argwhere(got != -1)
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
-        diag = n if i == j else 0
-        return Verdict.failed(
-            f"SS^T entry ({i}, {j}) = {int(got[i, j]) + diag}, expected {diag - 1}"
-        )
+    defect = t._gram_defect
+    if defect is not None:
+        i, j, g = defect
+        return Verdict.failed(f"SS^T entry ({i}, {j}) = {g}, expected -1")
     return Verdict.passed()
 
 

@@ -38,6 +38,19 @@ from drt.tourney import (
 from conftest import rotational, transitive
 
 
+def _traced(fn, *args):
+    """fn(*args) and the tracemalloc peak of what it allocated."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def cycle3() -> Tournament:
     return Tournament(3, (0b010, 0b100, 0b001))
 
@@ -243,15 +256,7 @@ def test_sweep_folds_ties_across_slices(monkeypatch, t7, transitive8, slice_pair
 
 def test_sweep_frozen_at_cap():
     # Frozen from the Gray-code loop above, which takes about 20 s at n = 16.
-    t = random_tournament(16, 16)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        r = exhaustive_mixing_check(t)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    r, peak = _traced(exhaustive_mixing_check, random_tournament(16, 16))
     assert r == MixingReport(
         "exhaustive", 3**16 - 2**17 + 1, 50, 324, 288, (7714, 8576)
     )
@@ -380,21 +385,23 @@ def test_sampled_folds_ties_across_chunks(monkeypatch, sampled_tournaments, per_
 def test_sampled_frozen_at_cap():
     # Frozen from the float64 kernel with 32768-row chunks, which peaked at
     # 73 MiB here; the reference loop would draw about 0.5 GiB at n = 900.
-    t = random_tournament(900, 5)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        r = sampled_mixing_check(t, 4096, 0)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    r, peak = _traced(sampled_mixing_check, random_tournament(900, 5), 4096, 0)
     assert (r.pairs_checked, r.violations) == (4096, 0)
     assert (r.max_numerator, r.max_denominator) == (1159929, 83708100)
     digest = hashlib.sha256(repr(r.worst_pair).encode()).hexdigest()
     assert digest == "7ba8c98aa2bba773214a82eb00352eef1b1add36d30d94fdd3b8c8593260a845"
-    # measured: about 16 MiB
-    assert peak <= 24 * 2**20, f"n=900 sample peaked at {peak} bytes"
+    # measured: about 5.5 MiB, of which the float32 signed matrix is 3.1 MiB
+    assert peak <= 6 * 2**20, f"n=900 sample peaked at {peak} bytes"
+
+
+@pytest.mark.parametrize("p, k", [(23, 1), (43, 1), (3, 5)])
+def test_sampled_peak_is_a_few_buffers(p, k):
+    # The chunk buffers, the signed matrix and the rng's sub-block buffers:
+    # measured 1.0-1.2 MiB at q = 23, 43 and 243.
+    t = cayley_tournament(paley_set(make_field(p, k)))
+    r, peak = _traced(sampled_mixing_check, t, 20000, 0)
+    assert (r.pairs_checked, r.violations) == (20000, 0)
+    assert peak <= 2 * 2**20, f"q={p ** k} sample peaked at {peak} bytes"
 
 
 def test_sample_cap_keeps_float32_exact():
@@ -409,10 +416,10 @@ def test_sampled_draws_only_the_rows_it_needs(monkeypatch, n, samples):
     calls = []
     collected = 0
 
-    def recording(seed, start, count):
+    def recording(seed, start, count, out=None):
         nonlocal collected
         calls.append((start, count, samples - collected))
-        trits = trit_block(seed, start, count)
+        trits = trit_block(seed, start, count, out=out)
         rows = trits.reshape(-1, n)
         collected += int(((rows == 1).any(axis=1) & (rows == 2).any(axis=1)).sum())
         return trits

@@ -8,6 +8,9 @@ from hypothesis import given, strategies as st
 
 from drt.rng import (
     _SUB_BLOCK,
+    GOLDEN_GAMMA,
+    MIX_MULT_1,
+    MIX_MULT_2,
     SplitMix64,
     coin_block,
     derive_seed,
@@ -100,3 +103,63 @@ def test_seed_wraps_modulo_2_to_64():
     # both paths mask the seed the same way, so wide seeds stay coherent
     assert SplitMix64(-1).u64() == SplitMix64(2**64 - 1).u64()
     assert list(trit_block(-1, 0, 64)) == list(trit_block(2**64 - 1, 0, 64))
+
+
+def test_trit_block_writes_into_out():
+    count = 2 * _SUB_BLOCK + 7
+    buf = np.full(count + 3, 9, dtype=np.uint8)
+    got = trit_block(11, 5, count, out=buf[3:])
+    assert got.base is buf
+    assert np.array_equal(got, trit_block(11, 5, count))
+    assert buf[:3].tolist() == [9, 9, 9]
+    whole = np.empty(count, dtype=np.uint8)
+    assert trit_block(11, 5, count, out=whole) is whole
+    for bad in (np.empty(count, dtype=np.int64), np.empty(count - 1, dtype=np.uint8)):
+        with pytest.raises(ValueError):
+            trit_block(11, 5, count, out=bad)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _unxorshift(y: int, s: int) -> int:
+    """The x with x ^ (x >> s) = y: each pass fixes s more top bits."""
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def _seed_whose_first_draw_has(z: int) -> int:
+    """Invert mix64 up to its last xorshift: the first draw of the returned
+    seed, mix64(seed + GOLDEN_GAMMA), is z ^ (z >> 31)."""
+    x = z * pow(MIX_MULT_2, -1, 1 << 64) & _MASK64
+    x = _unxorshift(x, 27)
+    x = x * pow(MIX_MULT_1, -1, 1 << 64) & _MASK64
+    x = _unxorshift(x, 30)
+    return (x - GOLDEN_GAMMA) & _MASK64
+
+
+# (z before mix64's last xorshift, trit, coin) at each cut -1, +0, +1.  The
+# trit-2 set is not a cut on z: 0xAAAAAAAB << 32 has bit 63 set, so the last
+# step flips its bit 32 and its trit is 1, between two runs of 2.
+_CUT_DRAWS = [
+    ((0x55555556 << 32) - 1, 0, 0), (0x55555556 << 32, 1, 0), ((0x55555556 << 32) + 1, 1, 0),
+    ((0xAAAAAAAA << 32) - 1, 1, 1), (0xAAAAAAAA << 32, 2, 1), ((0xAAAAAAAA << 32) + 1, 2, 1),
+    ((0xAAAAAAAB << 32) - 1, 2, 1), (0xAAAAAAAB << 32, 1, 1), ((0xAAAAAAAB << 32) + 1, 1, 1),
+    ((0xAAAAAAAC << 32) - 1, 1, 1), (0xAAAAAAAC << 32, 2, 1), ((0xAAAAAAAC << 32) + 1, 2, 1),
+    ((1 << 63) - 1, 1, 0), (1 << 63, 1, 1), ((1 << 63) + 1, 1, 1),
+]
+
+
+@pytest.mark.parametrize("z, trit, coin", _CUT_DRAWS, ids=[f"{z:#x}" for z, _, _ in _CUT_DRAWS])
+def test_block_draws_match_scalar_at_the_compare_cuts(z, trit, coin):
+    seed = _seed_whose_first_draw_has(z)
+    assert SplitMix64(seed).u64() == z ^ (z >> 31)
+    assert (SplitMix64(seed).trit(), SplitMix64(seed).coin()) == (trit, coin)
+    # as the first draw of a block, and as draw _SUB_BLOCK, which opens the
+    # second sub-block
+    assert trit_block(seed, 0, 3)[0] == trit
+    assert coin_block(seed, 0, 3)[0] == coin
+    assert trit_block(seed - _SUB_BLOCK * GOLDEN_GAMMA, 0, _SUB_BLOCK + 1)[-1] == trit
+    assert coin_block(seed - _SUB_BLOCK * GOLDEN_GAMMA, 0, _SUB_BLOCK + 1)[-1] == coin

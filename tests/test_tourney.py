@@ -18,6 +18,7 @@ from drt.diffset import (
 )
 from drt.groups import make_field, make_group
 from drt.rng import SplitMix64
+import drt.tourney
 from drt.tourney import (
     Tournament,
     adjacency_matrix,
@@ -287,6 +288,7 @@ def test_gram_agrees_with_double_regularity_on_every_tournament(n):
         gram = verify_gram_identities(t)
         assert gram.ok == is_doubly_regular(t).ok, rows
         passed += gram.ok
+        _check_verdict_pair(t)
     assert passed == (2 if n == 3 else 0)  # the two 3-cycles
 
 
@@ -299,6 +301,22 @@ def test_gram_and_double_regularity_both_fail_with_one_pair_flipped(paley, p, k)
     flipped = Tournament(t.n, tuple(rows))
     assert not verify_gram_identities(flipped).ok
     assert not is_doubly_regular(flipped).ok
+    _check_verdict_pair(flipped)
+
+
+def test_one_gram_product_decides_both_verdicts(monkeypatch, paley):
+    unpacked = []
+
+    def counting(t):
+        unpacked.append(t.n)
+        return unpack(t)
+
+    unpack = drt.tourney._unpack
+    monkeypatch.setattr(drt.tourney, "_unpack", counting)
+    t = Tournament(27, paley(3, 3).rows)
+    assert is_doubly_regular(t).ok and verify_gram_identities(t).ok
+    assert verify_gram_identities(t).ok and is_doubly_regular(t).ok
+    assert unpacked == [27, 27]  # the construction check, then one product
 
 
 # ------------------------------------------------------------------- random
@@ -452,6 +470,29 @@ def _in_rows_reference(t: Tournament) -> tuple[int, ...]:
     return tuple(cols)
 
 
+def _gram_reference(t: Tournament) -> Verdict:
+    """Every row-major entry of S S^T against n I - J, diagonal included."""
+    s = signed_adjacency(t)
+    got = s @ s.T
+    want = t.n * np.eye(t.n, dtype=np.int64) - 1
+    bad = np.argwhere(got != want)
+    if bad.size:
+        i, j = bad[0]
+        return Verdict.failed(
+            f"SS^T entry ({i}, {j}) = {got[i, j]}, expected {want[i, j]}"
+        )
+    return Verdict.passed()
+
+
+def _check_verdict_pair(t: Tournament) -> None:
+    """Both verdicts, asked in either order, equal both references."""
+    want = (_doubly_regular_reference(t), _gram_reference(t))
+    assert (is_doubly_regular(t), verify_gram_identities(t)) == want
+    fresh = Tournament(t.n, t.rows)
+    gram = verify_gram_identities(fresh)
+    assert (is_doubly_regular(fresh), gram) == want
+
+
 def _doubly_regular_reference(t: Tournament) -> Verdict:
     n = t.n
     if n % 4 != 3:
@@ -520,7 +561,7 @@ def _check_against_reference(t: Tournament) -> None:
     assert t.in_rows == _in_rows_reference(t)
     assert format_tournament(t) == _format_reference(t)
     if t.n >= 3:
-        assert is_doubly_regular(t) == _doubly_regular_reference(t)
+        _check_verdict_pair(t)
 
 
 @pytest.mark.parametrize("name, t", list(_reference_cases()))
@@ -549,17 +590,19 @@ def test_paley_2187_scale():
     assert elapsed < 10.0, f"Z3^7 checks took {elapsed:.2f}s"
     tracemalloc.start()
     try:
-        cayley_tournament(d)
+        fresh = cayley_tournament(d)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 2**20, f"cayley_tournament peaked at {peak / 2**20:.1f} MiB"
-    # S and S S^T are the only n x n float64 arrays the Gram check holds
+    # S and S S^T are the only n x n float64 arrays of the one product that
+    # decides both verdicts
     tracemalloc.start()
     try:
-        verify_gram_identities(t)
+        is_doubly_regular(fresh)
+        verify_gram_identities(fresh)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     square = 8 * t.n**2
-    assert peak <= 2.5 * square, f"Gram check peaked at {peak / square:.2f}x 8n^2 bytes"
+    assert peak <= 2.5 * square, f"verdicts peaked at {peak / square:.2f}x 8n^2 bytes"
