@@ -79,9 +79,9 @@ def difference_profile(d: CandidateSet) -> dict[Element, int]:
     group = d.group
     members = np.array(d.indices, dtype=np.int64)
     counts = np.zeros(group.order, dtype=np.int64)
-    digits = group.digits(members)
+    digits = group._digits(members)
     for a in d.indices:
-        diffs = group.sub_digits(group.digits(a), digits)
+        diffs = group._sub_digits(group._digits(a), digits)
         counts += np.bincount(diffs, minlength=group.order)
     # index 0 is the zero element, where the pairs a = b land
     nonzero = itertools.islice(group.elements(), 1, None)

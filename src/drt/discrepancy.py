@@ -27,7 +27,9 @@ from .tourney import Tournament, _unpack, mask_vertices, signed_adjacency, verte
 SWEEP_CAP = 16
 _SWEEP_SLICE_PAIRS = 1 << 16  # pairs per sweep matmul; bounds its temporaries
 SAMPLE_CAP = 900  # keeps the int64 cross-multiplied fraction compares exact
-_SAMPLE_CHUNK_TRITS = 1 << 16  # trits per sampled chunk; bounds its buffers
+# A sampled chunk holds _SAMPLE_CHUNK_TRITS // min(n, 256) rows (one at least),
+# so its buffers hold at most this many trits up to n = 256 and 256 rows above.
+_SAMPLE_CHUNK_TRITS = 1 << 16
 
 # A running worst pair: (d_+^2, n |A| |B|, (A, B)), with no pair before the first.
 _Best = tuple[int, int, Optional[tuple[int, int]]]
@@ -204,12 +206,12 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
     not count toward `samples`.  The pairs checked are the first `samples`
     valid rows of the stream; each chunk draws only as many rows as samples
     remain, so no trit is drawn past the last row that can be used.  A chunk
-    holds at most _SAMPLE_CHUNK_TRITS trits (one row at least), or 256 rows
-    above n = 256, and its size cannot change a result.  The trit, indicator
-    and product buffers are allocated once per call at the first chunk's
-    size and every chunk writes into them, so a chunk allocates only its few
-    per-row vectors and the rng's 128 KiB sub-block buffers.  d is exact in
-    float32, as its partial sums stay within n^2/4 < 2^24.
+    holds _SAMPLE_CHUNK_TRITS // min(n, 256) rows (one at least), and its
+    size cannot change a result.  The trit, indicator and product buffers are
+    allocated once per call at the first chunk's size and every chunk writes
+    into them, so a chunk allocates only its few per-row vectors and the
+    rng's 128 KiB sub-block buffers.  d is exact in float32, as its partial
+    sums stay within n^2/4 < 2^24.
 
     The worst pair is found per chunk without a loop over rows.  The ratio
     d_+^2 / (n |A| |B|) is formed in float64: numerator and denominator are
@@ -220,7 +222,8 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
     strictly below the running best stops there; otherwise, among its rows
     at the exact maximum the smallest (A, B) bitmask pair is picked by a
     lexsort of their indicator rows, highest vertex first.  Bitmasks are
-    built for that one row, which then meets the running best under the same
+    built for that one row, which then meets the running best with its own
+    d_+^2 and n |A| |B| (rows at one ratio can differ in both) under the same
     exact compare and tie-break.
     """
     n = t.n
@@ -274,17 +277,19 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
         dd = np.where(dv > 0, dv * dv, 0)
         violations += int((dd > den).sum())
         tied = _rows_at_max(dd, den)
-        num_max, den_max = int(dd[tied[0]]), int(den[tied[0]])
-        if best[2] is not None and num_max * best[1] < best[0] * den_max:
+        first = tied[0]
+        if best[2] is not None and dd[first] * best[1] < best[0] * den[first]:
             continue  # no row of this chunk can become the worst pair
         sides = trits[valid[tied]]
         # lexsort's last key is its primary: A's highest vertex first.
-        row = sides[np.lexsort(np.concatenate((sides == 2, sides == 1), axis=1).T)[0]]
+        k = np.lexsort(np.concatenate((sides == 2, sides == 1), axis=1).T)[0]
+        # Tied rows share the ratio, not always (d_+^2, den): report the pick's.
+        r, row = tied[k], sides[k]
         pair = (
             vertex_mask(np.flatnonzero(row == 1).tolist()),
             vertex_mask(np.flatnonzero(row == 2).tolist()),
         )
-        best = _fold_best(best, num_max, den_max, pair)
+        best = _fold_best(best, int(dd[r]), int(den[r]), pair)
     return MixingReport("sampled", samples, violations, *best)
 
 

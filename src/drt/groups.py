@@ -83,7 +83,7 @@ class AbelianGroup:
         """All elements in index order."""
         return itertools.product(*(range(m) for m in self.moduli))
 
-    def digits(self, x: np.ndarray) -> list[np.ndarray]:
+    def _digits(self, x: np.ndarray) -> list[np.ndarray]:
         """Each coordinate of the indices `x` times its place value, least
         significant first, so that their sum is `x` again."""
         out, place = [], 1
@@ -92,8 +92,8 @@ class AbelianGroup:
             place *= m
         return out
 
-    def sub_digits(self, x: list, y: list) -> np.ndarray:
-        """index(sub(element(x), element(y))) from two `digits` results.
+    def _sub_digits(self, x: list, y: list) -> np.ndarray:
+        """index(sub(element(x), element(y))) from two `_digits` results.
 
         A coordinate a of place p contributes a * p, and (a - b) * p taken
         mod m * p is ((a - b) mod m) * p, so each coordinate costs one
@@ -107,7 +107,7 @@ class AbelianGroup:
 
     def sub_indices(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """index(sub(element(x), element(y))) elementwise over index arrays."""
-        return self.sub_digits(self.digits(x), self.digits(y))
+        return self._sub_digits(self._digits(x), self._digits(y))
 
     def __str__(self) -> str:
         return format_group_spec(self.moduli)

@@ -130,10 +130,10 @@ def cayley_tournament(d: CandidateSet) -> Tournament:
     group = d.group
     n = group.order
     vertices = np.arange(n)
-    digits = group.digits(vertices)  # once per build, not once per member
+    digits = group._digits(vertices)  # once per build, not once per member
     adjacency = np.zeros((n, n), dtype=np.uint8)
     for dd in d.indices:  # x -> y iff y = x - dd
-        adjacency[vertices, group.sub_digits(digits, group.digits(dd))] = 1
+        adjacency[vertices, group._sub_digits(digits, group._digits(dd))] = 1
     return _from_valid(adjacency)
 
 

@@ -351,16 +351,22 @@ def _sampled_reference(t: Tournament, samples: int, seed: int) -> MixingReport:
 
 @pytest.fixture(scope="module")
 def sampled_tournaments(paley, transitive8):
-    named = {"transitive8": transitive8, "t7": paley(7), "t27": paley(3, 3)}
+    named = {
+        "cycle3": paley(3),
+        "transitive8": transitive8,
+        "t7": paley(7),
+        "t27": paley(3, 3),
+    }
     for n in (2, 3, 5, 13, 40):
         named[f"random{n}"] = random_tournament(n, 500 + n)
     return named
 
 
-@pytest.mark.parametrize("samples", [1, 300, 32768, 32769, 70000])
+# A few samples leave several rows tied at ratio 0 with different |A||B|.
+@pytest.mark.parametrize("samples", [1, 2, 3, 5, 300, 32768, 32769, 70000])
 @pytest.mark.parametrize(
     "name",
-    ["transitive8", "t7", "t27"] + [f"random{n}" for n in (2, 3, 5, 13, 40)],
+    ["cycle3", "transitive8", "t7", "t27"] + [f"random{n}" for n in (2, 3, 5, 13, 40)],
 )
 def test_sampled_matches_reference_loop(sampled_tournaments, name, samples):
     t = sampled_tournaments[name]
@@ -374,10 +380,10 @@ def test_sampled_folds_ties_across_chunks(monkeypatch, sampled_tournaments, per_
     # Chunks of 1, 3 and 40 rows, so the rows tied at the maximum sit in
     # different chunks and meet only in the running best.
     rows, extra = per_chunk
-    for name in ("t7", "transitive8", "t27", "random13"):
+    for name in ("cycle3", "t7", "transitive8", "t27", "random3", "random13"):
         t = sampled_tournaments[name]
         monkeypatch.setattr(drt.discrepancy, "_SAMPLE_CHUNK_TRITS", rows * t.n + extra)
-        for samples in (1, 300, 2000):
+        for samples in (1, 2, 3, 5, 300, 2000):
             want = _sampled_reference(t, samples, 0)
             assert sampled_mixing_check(t, samples, 0) == want
 
