@@ -154,6 +154,8 @@ def vertex_mask(vertices: Iterable[int]) -> int:
 
 def mask_vertices(mask: int) -> list[int]:
     """Unpack a bitmask into a sorted vertex list."""
+    if mask < 0:
+        raise ValueError(f"vertex mask {mask} is negative")
     out = []
     while mask:
         v = (mask & -mask).bit_length() - 1

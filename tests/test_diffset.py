@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +24,7 @@ from drt.diffset import (
     paley_set,
     parse_diffset,
 )
+import drt.diffset
 from drt.groups import make_field, make_group
 from drt.verdict import Verdict
 
@@ -294,6 +298,228 @@ def test_affine_images_are_always_equivalent(data, unit, shift):
     d = candidate_from_indices(z11, sorted(base))
     img = candidate_from_indices(z11, sorted((unit * x + shift) % 11 for x in base))
     assert are_equivalent(img, d) is not None
+
+
+# ------------------------------------------- parity with the table engine
+
+
+def _det_mod_p_reference(rows, p: int) -> int:
+    """Determinant mod p by Gaussian elimination; also exact for a 1 x 1
+    matrix over Z_m with m composite, since no row is ever eliminated."""
+    k = len(rows)
+    m = [list(r) for r in rows]
+    det = 1
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if m[r][col] % p), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        inv = pow(m[col][col], p - 2, p)
+        det = det * m[col][col] % p
+        for r in range(col + 1, k):
+            f = m[r][col] * inv % p
+            if f:
+                for c in range(col, k):
+                    m[r][c] = (m[r][c] - f * m[col][c]) % p
+    return det % p
+
+
+def _automorphisms_reference(group):
+    """Row tuples of the k x k matrices over Z_m, row-lexicographic, whose
+    eliminated determinant is a unit mod m."""
+    m, k = group.moduli[0], len(group.moduli)
+    for flat in itertools.product(range(m), repeat=k * k):
+        rows = tuple(flat[i * k : (i + 1) * k] for i in range(k))
+        if math.gcd(_det_mod_p_reference(rows, m), m) == 1:
+            yield rows
+
+
+def _times(rows, x, m: int):
+    return tuple(sum(a * b for a, b in zip(r, x)) % m for r in rows)
+
+
+def _witness_reference(group, target, source):
+    """First (rows, g) with target = M source + g, from an n x n add table
+    and sorted index tuples; None if there is none."""
+    m, n = group.moduli[0], group.order
+    elements = list(group.elements())
+    add_table = [[group.index(group.add(x, g)) for g in elements] for x in elements]
+    want = tuple(sorted(group.index(x) for x in target))
+    for rows in _automorphisms_reference(group):
+        img = [group.index(_times(rows, x, m)) for x in source]
+        for g_idx in range(n):
+            if tuple(sorted(add_table[e][g_idx] for e in img)) == want:
+                return rows, elements[g_idx]
+    return None
+
+
+def _witness(group, target, source):
+    w = affine_witness(group, target, source)
+    return None if w is None else (w[0].rows, w[1])
+
+
+def _witness_cases(moduli):
+    """Seeded (target, source) pairs at sizes 0, 1, |G| // 2 and |G|: one
+    unrelated pair and one affine image per size, plus one pair of unequal
+    sizes."""
+    group = make_group(moduli)
+    n = group.order
+    rng = random.Random(f"witness{moduli}")
+    auts = list(_automorphisms_reference(group))
+    for size in (0, 1, n // 2, n):
+        source = candidate_from_indices(group, rng.sample(range(n), size)).elements
+        yield candidate_from_indices(group, rng.sample(range(n), size)).elements, source
+        rows, g = rng.choice(auts), group.element(rng.randrange(n))
+        image = {group.add(_times(rows, x, group.moduli[0]), g) for x in source}
+        yield frozenset(image), source
+    yield (
+        candidate_from_indices(group, range(1, 3)).elements,
+        candidate_from_indices(group, range(1, 4)).elements,
+    )
+
+
+WITNESS_GROUPS = [(15,), (3, 3), (2, 2, 2), (3, 3, 3)]
+
+
+def test_witness_matches_table_engine_on_all_3_subsets_of_z7():
+    subsets = [
+        candidate_from_indices(Z7, c).elements
+        for c in itertools.combinations(range(7), 3)
+    ]
+    found = 0
+    for target in subsets:
+        for source in subsets:
+            want = _witness_reference(Z7, target, source)
+            assert _witness(Z7, target, source) == want, (target, source)
+            found += want is not None
+    assert 0 < found < len(subsets) ** 2
+
+
+@pytest.mark.parametrize("moduli", WITNESS_GROUPS, ids=str)
+def test_witness_matches_table_engine(moduli):
+    group = make_group(moduli)
+    outcomes = set()
+    for target, source in _witness_cases(moduli):
+        want = _witness_reference(group, target, source)
+        assert _witness(group, target, source) == want, (target, source)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "moduli", [(15,), (3, 3), (2, 2, 2), (2, 2, 2, 2), (5, 5)], ids=str
+)
+def test_automorphisms_match_eliminated_determinant(moduli):
+    group = make_group(moduli)
+    got = [a.rows for a in enumerate_automorphisms(group)]
+    assert got == list(_automorphisms_reference(group))
+    assert len(got) == automorphism_count(group)
+
+
+@pytest.mark.parametrize("moduli", [(3, 3), (15,)], ids=str)
+def test_unequal_sizes_answer_none(moduli):
+    group = make_group(moduli)
+    small = candidate_from_indices(group, [0, 1]).elements
+    large = candidate_from_indices(group, [0, 1, 2]).elements
+    assert affine_witness(group, small, large) is None
+    assert affine_witness(group, large, small) is None
+
+
+@pytest.mark.parametrize("sizes", [(3, 3), (3, 4)])
+def test_oversized_group_refused_before_anything_is_built(sizes):
+    # |GL(3,7)| is above AUT_CAP; an n x n table would be 343^2 entries
+    group = make_group((7, 7, 7))
+    target, source = (
+        candidate_from_indices(group, range(1, 1 + size)).elements for size in sizes
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="above AUT_CAP"):
+            affine_witness(group, target, source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+@pytest.mark.parametrize("entries", [1, 7])
+def test_witness_is_the_same_across_slices(monkeypatch, entries):
+    # One translation per slice, or a few, so a match can sit past the
+    # first slice and a miss must run through every one.
+    cases = [
+        (make_group(moduli), target, source)
+        for moduli in [(15,), (3, 3), (2, 2, 2)]
+        for target, source in _witness_cases(moduli)
+    ]
+    want = [_witness(*case) for case in cases]
+    monkeypatch.setattr(drt.diffset, "_WITNESS_SLICE_ENTRIES", entries)
+    assert [_witness(*case) for case in cases] == want
+    assert any(w is not None and w[1] != (0,) * len(w[1]) for w in want)
+
+
+def test_full_scan_on_z503_stays_small():
+    d = paley_set(make_field(503, 1))
+    members = list(d.indices)
+    outside = next(i for i in range(1, 503) if i not in d.indices)
+    other = candidate_from_indices(d.group, members[:-1] + [outside])
+    tracemalloc.start()
+    try:
+        assert affine_witness(d.group, d.elements, other.elements) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_classify_searches_each_set_against_class_representatives(monkeypatch):
+    z13 = make_group((13,))
+    a, b = [0, 1, 2, 3, 6], [0, 1, 2, 3, 7]
+
+    def image(unit, shift, s):
+        return candidate_from_indices(z13, [(unit * x + shift) % 13 for x in s])
+
+    da, db = image(1, 0, a), image(1, 0, b)
+    # equal profile multisets, so only the search can tell them apart
+    assert sorted(difference_profile(da).values()) == sorted(
+        difference_profile(db).values()
+    )
+    assert affine_witness(z13, da.elements, db.elements) is None
+    sets = [da, image(1, 1, a), db, image(1, 2, b), image(2, 3, a), image(2, 4, b)]
+    calls = []
+    search = drt.diffset.affine_witness
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(drt.diffset, "affine_witness", counted)
+    assert classify(sets) == [[0, 1, 4], [2, 3, 5]]
+    assert len(calls) <= 7
+
+
+def _integer_det(mats: np.ndarray) -> np.ndarray:
+    """Leibniz expansion of a stack of k x k integer matrices, in int64."""
+    k = mats.shape[-1]
+    out = np.zeros(len(mats), dtype=np.int64)
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        term = np.ones(len(mats), dtype=np.int64)
+        for row, col in enumerate(perm):
+            term *= mats[:, row, col]
+        out += -term if inversions % 2 else term
+    return out
+
+
+@pytest.mark.parametrize("m, k", [(53, 2), (5, 3), (2, 5)])
+def test_float_determinant_is_exact_at_the_largest_admitted_shapes(m, k):
+    # |GL(k, m)| is at most AUT_CAP here, and one step up in m is above it
+    assert automorphism_count(make_group((m,) * k)) <= drt.diffset.AUT_CAP
+    rng = np.random.default_rng(m * 10 + k)
+    mats = rng.integers(0, m, size=(1 << 16, k, k), dtype=np.int64)
+    got = np.rint(np.linalg.det(mats)).astype(np.int64)
+    np.testing.assert_array_equal(got, _integer_det(mats))
 
 
 # --------------------------------------------------------------- file format

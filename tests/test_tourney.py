@@ -26,6 +26,7 @@ from drt.tourney import (
     common_out_neighbors,
     format_tournament,
     is_doubly_regular,
+    mask_vertices,
     parse_tournament,
     random_tournament,
     signed_adjacency,
@@ -53,6 +54,16 @@ def test_tournament_validation():
         Tournament(2, (0b00, 0b00))
     with pytest.raises(ValueError):
         Tournament(2, (0b110, 0b00))  # bit out of range
+
+
+def test_mask_vertices_unpacks_and_refuses_negative_masks():
+    assert mask_vertices(0) == []
+    assert mask_vertices(0b101001) == [0, 3, 5]
+    assert mask_vertices(1 << 900) == [900]
+    # -1 has infinitely many set bits in two's complement
+    for mask in (-1, -6):
+        with pytest.raises(ValueError, match=f"vertex mask {mask} is negative"):
+            mask_vertices(mask)
 
 
 def test_degrees_and_edges():
