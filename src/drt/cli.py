@@ -11,15 +11,14 @@ the files it reads and wraps the results in this envelope.
 the same inputs and seed (wall_time_ms is the one field outside that
 contract).  `--pretty` renders the same payload as aligned text.  Exit codes:
 0 all checks pass, 1 only a failed verdict or violation, 2 usage errors and
-every exception, as one `drt: error:` line.  Every run is single-threaded;
-DRT_THREADS is ignored and never changes any output.
+every exception, as one `drt: error:` line.  Every run is single-threaded.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
+import gc
 import json
 import sys
 import time
@@ -71,6 +70,8 @@ Outcome = tuple[Optional[dict], int]
 
 def _load(path: str, inputs: dict[str, str], parse):
     """`parse` applied to the file's text; its sha256 goes into `inputs`."""
+    import hashlib  # here, so that commands without an input file never load OpenSSL
+
     data = Path(path).read_bytes()
     inputs[path] = hashlib.sha256(data).hexdigest()
     try:
@@ -453,5 +454,12 @@ def main(argv=None) -> int:
         raise SystemExit(2) from None
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """Process entry of `drt` and `python -m drt.cli`: objects made by imports
+    are frozen, so that the collections at interpreter exit skip them."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -30,10 +30,13 @@ from .groups import (
 )
 from .verdict import Verdict
 
-# Largest automorphism group enumerated.  It bounds the matrices tried, not
-# the (p - 1) * p maps of a scan on Z_p: a full scan of an inequivalent pair
-# took 1.1 s over GL(3,3) x Z3^3 and 0.6 s on Z503 (one core).
+# Largest automorphism group enumerated.
 AUT_CAP = 10_000_000
+# Most maps (automorphisms x translations) one equivalence scan may try; it
+# bounds the (p - 1) * p maps on Z_p, which AUT_CAP never reaches.  A full
+# scan of an inequivalent pair took 1.1 s over GL(3,3) x Z3^3 (303,264 maps),
+# 0.7 s on Z503 (252,506) and 4.3 s on Z1019 (1,037,342), on one core.
+_SCAN_CAP = 1 << 20
 _WITNESS_SLICE_ENTRIES = 1 << 16  # image members x translations per slice
 
 
@@ -204,9 +207,16 @@ def affine_witness(
     Search order: automorphisms in enumeration order, then translations g in
     index order.  Each image is moved by a slice of translations at once; a
     translate equals the target when all its members lie in it, since tau
-    and g are bijections and the two sets have the same size.
+    and g are bijections and the two sets have the same size.  A scan of
+    more than _SCAN_CAP maps is refused before anything is built.
     """
     auts = enumerate_automorphisms(group)
+    maps = automorphism_count(group) * group.order
+    if maps > _SCAN_CAP:
+        raise ValueError(
+            f"an equivalence scan in {group} tries {maps} maps,"
+            f" above the scan cap of {_SCAN_CAP}"
+        )
     if len(source) != len(target):
         return None
     n, m, k = group.order, group.moduli[0], len(group.moduli)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import gc
 import hashlib
 import json
 import subprocess
@@ -312,6 +314,23 @@ def test_classify_cli(capsys, tmp_path):
     assert rep["results"]["classes"] == [[0, 1], [2]]
 
 
+def test_classify_refuses_a_scan_past_the_cap(capsys, tmp_path):
+    # two skew Hadamard difference sets share their difference profile, so
+    # only the scan could tell them apart, and on Z2003 it is too long
+    paths = [str(tmp_path / name) for name in ("d.txt", "neg.txt")]
+    assert main(["diffset", "paley", "--p", "2003", "-o", paths[0]]) == 0
+    members = Path(paths[0]).read_text().split("\n")[1].split()
+    negated = sorted((-int(x)) % 2003 for x in members)
+    Path(paths[1]).write_text(f"Z2003\n{' '.join(map(str, negated))}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["diffset", "classify", *paths])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "drt: error: an equivalence scan in Z2003 tries 4010006 maps,"
+        " above the scan cap of 1048576\n"
+    )
+
+
 def test_classify_rejects_mixed_groups(tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
@@ -340,6 +359,71 @@ def test_pretty_rendering(capsys, tmp_path):
 
 
 # --------------------------------------------------------------- entry point
+
+
+ROOT = Path(__file__).parent.parent
+
+# Runs one launch line in a fresh interpreter; an exit handler then reports
+# whether the process froze its import-time objects and whether it loaded
+# OpenSSL, after the command has run.
+ENTRY_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count() > 0,
+                              "_hashlib" in sys.modules, file=sys.stderr))
+sys.argv[0] = "drt"
+{launch}
+"""
+
+
+def _console_script() -> tuple[str, str]:
+    """Module and function that pyproject.toml's `drt` script runs."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    module, _, func = meta["project"]["scripts"]["drt"].partition(":")
+    return module, func
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["pipeline", "paley", "--p", "3"]],
+                         ids=["version", "pipeline"])
+@pytest.mark.parametrize("launch", ["module", "script"])
+def test_entry_freezes_imports_and_leaves_openssl_unloaded(argv, launch):
+    if launch == "module":  # what `python -m drt.cli` does
+        line = "runpy.run_module('drt.cli', run_name='__main__', alter_sys=True)"
+    else:  # what the installed `drt` wrapper does
+        module, func = _console_script()
+        line = f"from {module} import {func}; sys.exit({func}())"
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY_PROBE.format(launch=line), *argv],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("drt " if argv == ["--version"] else "{")
+    assert proc.stderr == "True False\n"
+
+
+def test_console_script_is_the_module_entry():
+    module, func = _console_script()
+    assert module == "drt.cli"
+    tree = ast.parse(Path(cli.__file__).read_text())
+    guards = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(s) for g in guards for s in g.body] == [f"{func}()"]
+
+
+def test_only_the_entry_freezes(capsys, monkeypatch):
+    # main runs many times in one process (tests, the traced benchmark), so
+    # it must leave each call's garbage collectable
+    frozen = gc.get_freeze_count()
+    assert main(["pipeline", "paley", "--p", "3"]) == 0
+    assert gc.get_freeze_count() == frozen
+    monkeypatch.setattr(sys, "argv", ["drt", "--version"])
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 0
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
 
 
 def test_console_script_runs():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -471,6 +472,21 @@ def test_full_scan_on_z503_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_scan_past_the_cap_is_refused_at_once():
+    # |Aut(Z2003)| = 2002 is far below AUT_CAP, but a full scan tries
+    # 2002 * 2003 maps; it took 44 s before the scan cap existed
+    d = paley_set(make_field(2003, 1))
+    members = list(d.indices)
+    outside = next(i for i in range(1, 2003) if i not in d.indices)
+    other = candidate_from_indices(d.group, members[:-1] + [outside])
+    started = time.perf_counter()
+    with pytest.raises(
+        ValueError, match="tries 4010006 maps, above the scan cap of 1048576"
+    ):
+        affine_witness(d.group, d.elements, other.elements)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_classify_searches_each_set_against_class_representatives(monkeypatch):
