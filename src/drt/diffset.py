@@ -35,7 +35,7 @@ AUT_CAP = 10_000_000
 # Most maps (automorphisms x translations) one equivalence scan may try; it
 # bounds the (p - 1) * p maps on Z_p, which AUT_CAP never reaches.  A full
 # scan of an inequivalent pair took 1.1 s over GL(3,3) x Z3^3 (303,264 maps),
-# 0.7 s on Z503 (252,506) and 4.3 s on Z1019 (1,037,342), on one core.
+# 0.7 s on Z503 (252,506) and about 5 s on Z1019 (1,037,342), on one core.
 _SCAN_CAP = 1 << 20
 _WITNESS_SLICE_ENTRIES = 1 << 16  # image members x translations per slice
 
