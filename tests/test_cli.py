@@ -370,7 +370,6 @@ ENTRY_PROBE = """
 import atexit, gc, runpy, sys
 atexit.register(lambda: print(gc.get_freeze_count() > 0,
                               "_hashlib" in sys.modules, file=sys.stderr))
-sys.argv[0] = "drt"
 {launch}
 """
 
@@ -410,7 +409,7 @@ def test_console_script_is_the_module_entry():
     assert [ast.unparse(s) for g in guards for s in g.body] == [f"{func}()"]
 
 
-def test_only_the_entry_freezes(capsys, monkeypatch):
+def test_only_the_entry_freezes(monkeypatch):
     # main runs many times in one process (tests, the traced benchmark), so
     # it must leave each call's garbage collectable
     frozen = gc.get_freeze_count()
