@@ -4,9 +4,8 @@ A candidate set D in a finite abelian group G is checked against three
 conditions: size (n-1)/2, every nonzero element appearing (n-3)/4 times as an
 ordered difference, and skewness (G is the disjoint union of {0}, D, and -D).
 Two candidates are equivalent when one is an automorphism image of the other
-up to translation.  The automorphisms are the k x k matrices over Z_m with
-a unit determinant: the units for a cyclic group, the invertible matrices
-over F_p for an elementary abelian one.
+up to translation; an automorphism is a unit of Z_m on a cyclic group and an
+invertible k x k matrix over F_p on an elementary abelian one.
 """
 
 from __future__ import annotations
@@ -30,12 +29,10 @@ from .groups import (
 )
 from .verdict import Verdict
 
-# Largest automorphism group enumerated.
-AUT_CAP = 10_000_000
-# Most maps (automorphisms x translations) one equivalence scan may try; it
-# bounds the (p - 1) * p maps on Z_p, which AUT_CAP never reaches.  A full
-# scan of an inequivalent pair took 1.1 s over GL(3,3) x Z3^3 (303,264 maps),
-# 0.7 s on Z503 (252,506) and about 5 s on Z1019 (1,037,342), on one core.
+# Most maps (automorphisms x translations) one equivalence scan may try, and
+# the only cap on automorphisms: it bounds the (p - 1) * p maps on Z_p too.
+# A full scan of an inequivalent pair took 0.6 s over GL(3,3) x Z3^3 (303,264
+# maps), 0.7 s on Z503 (252,506) and about 5 s on Z1019 (1,037,342), on one core.
 _SCAN_CAP = 1 << 20
 _WITNESS_SLICE_ENTRIES = 1 << 16  # image members x translations per slice
 
@@ -148,8 +145,8 @@ def is_shds(d: CandidateSet) -> Verdict:
 
 @dataclass(frozen=True)
 class Automorphism:
-    """x -> M x on Z_m^k, for a k x k matrix M over Z_m (row tuples) whose
-    determinant is a unit mod m.  On a cyclic group M is the 1 x 1 unit."""
+    """x -> M x on Z_m^k, for an invertible k x k matrix M over F_p (row
+    tuples).  On a cyclic group M is the 1 x 1 unit of Z_m."""
 
     modulus: int
     rows: tuple[tuple[int, ...], ...]
@@ -176,25 +173,27 @@ def automorphism_count(group: AbelianGroup) -> int:
 
 
 def enumerate_automorphisms(group: AbelianGroup) -> Iterator[Automorphism]:
-    """All group automorphisms in a fixed order.
-
-    The k x k matrices over Z_m in row-lexicographic order, keeping those
-    whose determinant is a unit mod m; on a cyclic group these are the units
-    ascending.  The float determinant is exact: at every shape AUT_CAP
-    admits, Hadamard's bound keeps |det| below 2^16.  Groups whose
-    automorphism count exceeds AUT_CAP are refused by the call itself,
-    before anything is enumerated.
-    """
-    count = automorphism_count(group)
-    if count > AUT_CAP:
-        raise ValueError(
-            f"automorphism group of {group} has order {count},"
-            f" above AUT_CAP = {AUT_CAP}"
-        )
+    """All automorphisms, lazily, in row-lexicographic order: the units of
+    Z_m ascending, or the k x k matrices over F_p whose every row lies outside
+    the span of the rows before it.  Over a field those are exactly the
+    invertible ones, so no singular matrix is ever tried."""
+    automorphism_count(group)  # refuses any other shape at the call
     m, k = group.moduli[0], len(group.moduli)
-    matrices = itertools.product(itertools.product(range(m), repeat=k), repeat=k)
-    units = (r for r in matrices if math.gcd(round(np.linalg.det(r)) % m, m) == 1)
-    return (Automorphism(m, rows) for rows in units)
+    if k == 1:
+        return (Automorphism(m, ((u,),)) for u in range(m) if math.gcd(u, m) == 1)
+
+    def extend(rows, span):
+        for v in group.elements():
+            if v in span:
+                continue
+            if len(rows) + 1 == k:  # a last row needs no span of its own
+                yield Automorphism(m, rows + (v,))
+            else:
+                line = [tuple(c * x % m for x in v) for c in range(m)]
+                wider = {group.add(s, w) for s in span for w in line}
+                yield from extend(rows + (v,), wider)
+
+    return extend((), {group.zero()})
 
 
 def affine_witness(
@@ -208,15 +207,16 @@ def affine_witness(
     index order.  Each image is moved by a slice of translations at once; a
     translate equals the target when all its members lie in it, since tau
     and g are bijections and the two sets have the same size.  A scan of
-    more than _SCAN_CAP maps is refused before anything is built.
+    over _SCAN_CAP maps, or a member not in G, is refused before building.
     """
-    auts = enumerate_automorphisms(group)
     maps = automorphism_count(group) * group.order
     if maps > _SCAN_CAP:
         raise ValueError(
             f"an equivalence scan in {group} tries {maps} maps,"
             f" above the scan cap of {_SCAN_CAP}"
         )
+    for x in itertools.chain(target, source):
+        group.check_element(x)
     if len(source) != len(target):
         return None
     n, m, k = group.order, group.moduli[0], len(group.moduli)
@@ -226,7 +226,7 @@ def affine_witness(
     places = m ** np.arange(k - 1, -1, -1)
     neg = group.sub_indices(0, np.arange(n))  # x + g is x - (-g)
     cols = max(1, _WITNESS_SLICE_ENTRIES // max(1, len(source)))
-    for tau in auts:
+    for tau in enumerate_automorphisms(group):
         img = (coords @ np.array(tau.rows).T % m @ places)[:, None]
         for start in range(0, n, cols):
             moved = group.sub_indices(img, neg[None, start : start + cols])

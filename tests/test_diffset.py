@@ -6,7 +6,6 @@ import random
 import time
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -191,7 +190,7 @@ def test_cyclic_automorphisms_are_units_ascending():
 
 
 def test_composite_cyclic_automorphisms_are_the_units():
-    # gcd(det, 15) = 1 keeps exactly the units; 3, 5, 6, 9, 10, 12 are
+    # gcd(u, 15) = 1 keeps exactly the units; 3, 5, 6, 9, 10, 12 are
     # nonzero mod 15 and must still be dropped
     z15 = make_group((15,))
     auts = list(enumerate_automorphisms(z15))
@@ -217,10 +216,40 @@ def test_automorphism_count_z3_cubed():
 
 
 def test_budget_refusal_names_the_order():
+    # the enumeration is lazy, so only a scan over all of GL(3,7) is refused
     g = make_group((7, 7, 7))
-    with pytest.raises(ValueError, match="33784128, above AUT_CAP = 10000000"):
-        list(enumerate_automorphisms(g))
+    first = next(enumerate_automorphisms(g))
+    assert first.rows == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert automorphism_count(g) == 33784128  # counting alone stays cheap
+    d = candidate_from_indices(g, [1, 2, 3]).elements
+    with pytest.raises(
+        ValueError, match="tries 11587955904 maps, above the scan cap of 1048576"
+    ):
+        affine_witness(g, d, d)
+
+
+def test_first_automorphisms_of_z2_to_the_5_come_at_once():
+    # GL(5,2) is 30% of the 2^25 matrices and the first 2^20 are singular;
+    # filtering every matrix took 17.5 s for these 10^5
+    started = time.perf_counter()
+    first = [
+        a.rows
+        for a in itertools.islice(enumerate_automorphisms(make_group((2,) * 5)), 10**5)
+    ]
+    assert time.perf_counter() - started < 5
+    assert len(first) == 10**5
+    assert all(a < b for a, b in zip(first, first[1:]))
+
+
+@pytest.mark.parametrize("moduli", [(4, 4), (2, 4), (9, 3)], ids=str)
+def test_unsupported_shapes_refused_at_the_call(moduli):
+    group = make_group(moduli)
+    d = candidate_from_indices(group, [1, 2]).elements
+    match = "supports only cyclic or elementary abelian groups"
+    with pytest.raises(ValueError, match=match):
+        enumerate_automorphisms(group)
+    with pytest.raises(ValueError, match=match):
+        affine_witness(group, d, d)
 
 
 # --------------------------------------------------------------- equivalence
@@ -238,6 +267,12 @@ def test_translation_witness():
     shifted = candidate_from_indices(Z7, sorted((x + 3) % 7 for x in [1, 2, 4]))
     tau, g = affine_witness(Z7, shifted.elements, D7.elements)
     assert tau.rows == ((1,),) and g == (3,)
+
+
+@pytest.mark.parametrize("bad", [(9,), (1, 2)])
+def test_witness_refuses_a_source_member_outside_the_group(bad):
+    with pytest.raises(ValueError, match="is not a canonical element of Z7"):
+        affine_witness(Z7, frozenset({(2,)}), frozenset({bad}))
 
 
 def test_inequivalent_pair():
@@ -410,9 +445,13 @@ def test_witness_matches_table_engine(moduli):
 
 
 @pytest.mark.parametrize(
-    "moduli", [(15,), (3, 3), (2, 2, 2), (2, 2, 2, 2), (5, 5)], ids=str
+    "moduli",
+    [(15,), (3, 3), (2, 2, 2), (2, 2, 2, 2), (5, 5), (7, 7), (3, 3, 3)],
+    ids=str,
 )
 def test_automorphisms_match_eliminated_determinant(moduli):
+    # against the reference that keeps every matrix whose determinant,
+    # found by elimination, is a unit
     group = make_group(moduli)
     got = [a.rows for a in enumerate_automorphisms(group)]
     assert got == list(_automorphisms_reference(group))
@@ -430,14 +469,15 @@ def test_unequal_sizes_answer_none(moduli):
 
 @pytest.mark.parametrize("sizes", [(3, 3), (3, 4)])
 def test_oversized_group_refused_before_anything_is_built(sizes):
-    # |GL(3,7)| is above AUT_CAP; an n x n table would be 343^2 entries
+    # |GL(3,7)| * 343 maps is above the scan cap; an n x n table would be
+    # 343^2 entries
     group = make_group((7, 7, 7))
     target, source = (
         candidate_from_indices(group, range(1, 1 + size)).elements for size in sizes
     )
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="above AUT_CAP"):
+        with pytest.raises(ValueError, match="above the scan cap"):
             affine_witness(group, target, source)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -475,7 +515,7 @@ def test_full_scan_on_z503_stays_small():
 
 
 def test_scan_past_the_cap_is_refused_at_once():
-    # |Aut(Z2003)| = 2002 is far below AUT_CAP, but a full scan tries
+    # |Aut(Z2003)| = 2002 is small, but a full scan tries
     # 2002 * 2003 maps; it took 44 s before the scan cap existed
     d = paley_set(make_field(2003, 1))
     members = list(d.indices)
@@ -513,29 +553,6 @@ def test_classify_searches_each_set_against_class_representatives(monkeypatch):
     monkeypatch.setattr(drt.diffset, "affine_witness", counted)
     assert classify(sets) == [[0, 1, 4], [2, 3, 5]]
     assert len(calls) <= 7
-
-
-def _integer_det(mats: np.ndarray) -> np.ndarray:
-    """Leibniz expansion of a stack of k x k integer matrices, in int64."""
-    k = mats.shape[-1]
-    out = np.zeros(len(mats), dtype=np.int64)
-    for perm in itertools.permutations(range(k)):
-        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
-        term = np.ones(len(mats), dtype=np.int64)
-        for row, col in enumerate(perm):
-            term *= mats[:, row, col]
-        out += -term if inversions % 2 else term
-    return out
-
-
-@pytest.mark.parametrize("m, k", [(53, 2), (5, 3), (2, 5)])
-def test_float_determinant_is_exact_at_the_largest_admitted_shapes(m, k):
-    # |GL(k, m)| is at most AUT_CAP here, and one step up in m is above it
-    assert automorphism_count(make_group((m,) * k)) <= drt.diffset.AUT_CAP
-    rng = np.random.default_rng(m * 10 + k)
-    mats = rng.integers(0, m, size=(1 << 16, k, k), dtype=np.int64)
-    got = np.rint(np.linalg.det(mats)).astype(np.int64)
-    np.testing.assert_array_equal(got, _integer_det(mats))
 
 
 # --------------------------------------------------------------- file format
