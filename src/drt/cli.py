@@ -47,6 +47,7 @@ from .groups import format_group_spec, make_field
 from .ranking import (
     DP_CAP,
     RankingResult,
+    _check_dp_cap,
     exact_max_consistent,
     heuristic_rank,
     random_baseline,
@@ -286,12 +287,17 @@ def cmd_discrepancy_bounds(args, inputs: dict[str, str]) -> Outcome:
 
 
 def cmd_pipeline_paley(args, inputs: dict[str, str]) -> Outcome:
+    if args.samples < 1:  # refused whether or not q is sampled
+        raise ValueError(f"need at least one sample, got {args.samples}")
     field = make_field(args.p, args.k)
-    # Every q above SWEEP_CAP is sampled, and the sampler stops at SAMPLE_CAP:
-    # refuse larger q before the Paley set and the tournament are built.
+    # Every q above SWEEP_CAP is sampled, and the sampler stops at SAMPLE_CAP;
+    # q up to --rank-cap is ranked exactly, and the DP stops at DP_CAP: refuse
+    # either before the Paley set and the tournament are built.
     if field.order > SAMPLE_CAP:
         raise ValueError(f"pipeline paley supports q = p^k <= {SAMPLE_CAP},"
                          f" got q = {field.order}")
+    if field.order <= args.rank_cap:
+        _check_dp_cap(field.order)
     d = paley_set(field)
     n = field.order
     shds = is_shds(d)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .ranking import count_consistent
 from .rng import trit_block
-from .tourney import Tournament, _unpack, mask_vertices, signed_adjacency, vertex_mask
+from .tourney import Tournament, _signed, mask_vertices, vertex_mask
 
 SWEEP_CAP = 16
 _SWEEP_SLICE_PAIRS = 1 << 16  # pairs per sweep matmul; bounds its temporaries
@@ -131,7 +131,7 @@ def exhaustive_mixing_check(t: Tournament) -> MixingReport:
             f"exhaustive sweep capped at n = {SWEEP_CAP} (3^n assignments),"
             f" got n = {n}; use sampled_mixing_check instead"
         )
-    signed = signed_adjacency(t).astype(np.int8)
+    signed = _signed(t)
     col = np.zeros((1 << n, n), dtype=np.int8)  # |col| <= n - 1 <= 15
     for v in range(n):
         col[1 << v : 2 << v] = col[: 1 << v] + signed[v]
@@ -238,9 +238,7 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
     # has no BLAS path) are exact in any summation order.  Column n is all
     # ones, so the one matmul also gives |A|.
     signed = np.ones((n, n + 1), dtype=np.float32)
-    u = _unpack(t)
-    np.subtract(u, u.T, out=signed[:, :n], dtype=np.float32)
-    del u  # n^2 bytes, not needed beside the chunk buffers
+    signed[:, :n] = _signed(t)
     # Above n = 256 a chunk keeps 256 rows: with fewer, the matmul that
     # dominates there runs slower (n = 900: 1.3 s at 72 rows, 1.0 s at 256).
     chunk_rows = max(1, _SAMPLE_CHUNK_TRITS // min(n, 256))

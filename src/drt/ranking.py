@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import derive_seed
-from .tourney import Tournament, mask_vertices, random_tournament, signed_adjacency
+from .tourney import Tournament, _signed, mask_vertices, random_tournament
 
 DP_CAP = 24
 
@@ -274,7 +274,7 @@ def heuristic_rank(t: Tournament, strategy: str = "local-search") -> RankingResu
             f"unknown strategy {strategy!r}: expected 'out-degree' or 'local-search'"
         )
     order = np.array(_out_degree_order(t), dtype=np.intp)
-    signed = signed_adjacency(t).astype(np.int32)
+    signed = _signed(t)
     moves = 0
     for moves, _ in enumerate(_local_search_moves(signed, order), 1):
         if moves > n * (n - 1) // 4:  # unreachable: each gains >= 1 from >= binom/2

@@ -2,7 +2,7 @@
 
 Every random choice in this package flows through the counter-based generator
 below instead of platform randomness, so a given seed produces the same bits
-on every machine, Python version, and worker count.
+on every machine and Python version.
 
 The generator is SplitMix64 run in counter mode: draw ``i`` of the stream for
 ``seed`` is ``mix64((seed + (i+1) * GOLDEN_GAMMA) mod 2**64)``.  Constants:

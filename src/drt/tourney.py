@@ -1,18 +1,18 @@
 """Tournaments as packed bit rows; Cayley construction and regularity checks.
 
 Adjacency lives in Python integers used as bitsets: bit j of ``rows[i]`` is 1
-exactly when the edge i -> j is present.  `_unpack` and `_pack` are the only
-code that converts between that layout and a 0/1 matrix.  All verification is
-exact: the matrix products run in float64, but every entry is an integer of
-absolute value at most n <= ORDER_CAP = 2**16, far below 2**53.
+exactly when the edge i -> j is present.  `_pack` (0/1 matrix to rows) and
+`_signed` (rows to S = M - M^T, decoded once as int8) are the only converters;
+every numeric check and kernel reads that S, and `signed_adjacency` and
+`adjacency_matrix` widen it to int64 for callers.  All verification is exact:
+matrix products run in float64 on integers of size at most n <= ORDER_CAP.
 
-The Gram certificate is one identity, S S^T = n I - J, where S = M - M^T is
-the signed adjacency (Reid & Brown 1972: it holds iff T is doubly regular).
-It forces S 1 = 0, since |S^T 1|^2 = 1^T S S^T 1 = 0 and S is skew, so every
-out-degree is (n-1)/2.  Then S = 2M + I - J, S J = J S = 0, and so
-4 M M^T = S S^T + I + (n-2) J: the identity is equivalent to
-M M^T = ((n+1)/4) I + ((n-3)/4) J.  It can hold only at n = 1 or
-n = 3 (mod 4).
+The Gram certificate is one identity, S S^T = n I - J (Reid & Brown 1972: it
+holds iff T is doubly regular).  It forces S 1 = 0, since |S^T 1|^2 =
+1^T S S^T 1 = 0 and S is skew, so every out-degree is (n-1)/2.  Then
+S = 2M + I - J, S J = J S = 0, and so 4 M M^T = S S^T + I + (n-2) J: the
+identity is equivalent to M M^T = ((n+1)/4) I + ((n-3)/4) J.  It can hold
+only at n = 1 or n = 3 (mod 4).
 """
 
 from __future__ import annotations
@@ -51,18 +51,17 @@ class Tournament:
                 raise ValueError(f"row {i} has bits outside 0..{self.n - 1}")
             if (row >> i) & 1:
                 raise ValueError(f"vertex {i} has a self-loop")
-        m = _unpack(self)
         # np.argwhere is row-major: the first bad pair (i, j), i < j
-        bad = np.argwhere(np.triu(m == m.T, 1))
+        bad = np.argwhere(np.triu(_signed(self) == 0, 1))
         if bad.size:
             i, j = (int(v) for v in bad[0])
-            kind = "both ways" if m[i, j] else "neither way"
+            kind = "both ways" if self.has_edge(i, j) else "neither way"
             raise ValueError(f"pair ({i}, {j}) is oriented {kind}")
 
     @cached_property
     def in_rows(self) -> tuple[int, ...]:
         """in_rows[j] has bit i set iff i -> j (column masks of the adjacency)."""
-        return _pack(_unpack(self).T)
+        return _pack(_signed(self) < 0)
 
     @cached_property
     def _gram_defect(self) -> Optional[tuple[int, int, int]]:
@@ -77,8 +76,7 @@ class Tournament:
         out-neighbors, and (i, j) is also the first pair whose count is not
         (n-3)/4.
         """
-        m = _unpack(self)
-        s = np.subtract(m, m.T, dtype=np.float64)
+        s = _signed(self).astype(np.float64)
         got = s @ s.T
         bad = got != -1
         bad.flat[:: self.n + 1] = False
@@ -95,18 +93,19 @@ class Tournament:
         return self.rows[v].bit_count()
 
 
-def _unpack(t: Tournament) -> np.ndarray:
-    """uint8 n x n adjacency: entry (i, j) is bit j of rows[i], which is bit
-    j % 8 of byte j // 8 of the row's little-endian bytes."""
+def _signed(t: Tournament) -> np.ndarray:
+    """int8 S = M - M^T, M[i, j] being bit j % 8 of byte j // 8 of rows[i]'s
+    little-endian bytes; S is 0 on the diagonal and at pairs not oriented once."""
     n = t.n
     width = (n + 7) // 8
     packed = b"".join(row.to_bytes(width, "little") for row in t.rows)
     bits = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
-    return np.unpackbits(bits, axis=1, count=n, bitorder="little")
+    m = np.unpackbits(bits, axis=1, count=n, bitorder="little").view(np.int8)
+    return m - m.T
 
 
 def _pack(bits: np.ndarray) -> tuple[int, ...]:
-    """Bit rows of a 0/1 matrix, the inverse of `_unpack`."""
+    """Bit rows of a 0/1 (or boolean) matrix: bit j of row i is entry (i, j)."""
     packed = np.packbits(bits, axis=1, bitorder="little")
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
@@ -198,13 +197,12 @@ def is_doubly_regular(t: Tournament) -> Verdict:
 
 def adjacency_matrix(t: Tournament) -> np.ndarray:
     """0/1 adjacency as an int64 array (row i, column j: edge i -> j)."""
-    return _unpack(t).astype(np.int64)
+    return (_signed(t) > 0).astype(np.int64)
 
 
 def signed_adjacency(t: Tournament) -> np.ndarray:
-    """M - M^T: +1 for i -> j, -1 for j -> i, 0 on the diagonal."""
-    m = adjacency_matrix(t)
-    return m - m.T
+    """M - M^T as int64: +1 for i -> j, -1 for j -> i, 0 on the diagonal."""
+    return _signed(t).astype(np.int64)
 
 
 def verify_gram_identities(t: Tournament) -> Verdict:

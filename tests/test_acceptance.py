@@ -242,7 +242,7 @@ def _timed_peak(fn, *args):
     return result, elapsed, peak
 
 
-def test_criterion_8_dp_performance_and_thread_independence():
+def test_criterion_8_dp_time_peak_and_rerun_stability():
     assert dp_table_nbytes(20) <= 64 * 2**20  # value table stays within 64 MiB
 
     t20 = random_tournament(20, 8)

@@ -78,15 +78,14 @@ def test_report_envelope(capsys, tmp_path, name):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_pipeline_matches_golden(capsys, name, monkeypatch):
-    monkeypatch.delenv("DRT_THREADS", raising=False)
+def test_pipeline_matches_golden(capsys, name):
     code, rep = report_of(capsys, GOLDEN_CASES[name])
     assert code == 0
     with open(GOLDEN_DIR / f"{name}.json") as fh:
         assert rep["results"] == json.load(fh)
 
 
-def test_results_identical_across_thread_counts(capsys, monkeypatch):
+def test_drt_threads_is_ignored(capsys, monkeypatch):
     payloads = []
     for threads in ("1", "4"):
         monkeypatch.setenv("DRT_THREADS", threads)
@@ -183,6 +182,10 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path):
     cases = [
         ["pipeline", "paley", "--p", "31", "--rank-cap", "31"],
         ["pipeline", "paley", "--p", "31", "--samples", "0"],
+        # q <= SWEEP_CAP never samples, and q = 27 is over DP_CAP = 24: both
+        # refused before the tournament is built
+        ["pipeline", "paley", "--p", "7", "--samples", "-5"],
+        ["pipeline", "paley", "--p", "3", "--k", "3", "--rank-cap", "30"],
         ["rank", "baseline", "--n", "1"],
         ["tourney", "random", "--n", "5", "-o", str(tmp_path / "missing" / "x")],
         ["rank", "exact", str(t25)],  # over DP_CAP = 24
@@ -206,6 +209,13 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path):
         assert proc.returncode == 2, (argv, proc.stderr)
         assert proc.stderr.startswith("drt: error:"), (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, argv
+
+
+def test_pipeline_rank_cap_at_or_below_dp_cap_still_ranks_exactly(capsys):
+    code, rep = report_of(capsys, ["pipeline", "paley", "--p", "23", "--rank-cap", "23"])
+    assert code == 0
+    rank = rep["results"]["rank"]
+    assert (rank["method"], rank["value"]) == ("exact-dp", 161)
 
 
 # ------------------------------------------------------------------ commands

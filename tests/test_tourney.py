@@ -252,6 +252,14 @@ def test_signed_adjacency_is_antisymmetric(t7):
     assert np.array_equal(np.abs(s), np.ones_like(s) - np.eye(t7.n, dtype=np.int64))
 
 
+def test_signed_adjacency_is_int64_so_its_gram_product_cannot_wrap():
+    # the diagonal of S S^T is n - 1 = 199, past int8's 127
+    s = signed_adjacency(random_tournament(200, 17))
+    assert s.dtype == np.int64
+    f = s.astype(np.float64)
+    assert np.array_equal(s @ s.T, f @ f.T)
+
+
 def test_gram_identities_exact_values(t11):
     m = adjacency_matrix(t11)
     n = 11
@@ -316,18 +324,18 @@ def test_gram_and_double_regularity_both_fail_with_one_pair_flipped(paley, p, k)
 
 
 def test_one_gram_product_decides_both_verdicts(monkeypatch, paley):
-    unpacked = []
+    decoded = []
 
     def counting(t):
-        unpacked.append(t.n)
-        return unpack(t)
+        decoded.append(t.n)
+        return signed(t)
 
-    unpack = drt.tourney._unpack
-    monkeypatch.setattr(drt.tourney, "_unpack", counting)
+    signed = drt.tourney._signed
+    monkeypatch.setattr(drt.tourney, "_signed", counting)
     t = Tournament(27, paley(3, 3).rows)
     assert is_doubly_regular(t).ok and verify_gram_identities(t).ok
     assert verify_gram_identities(t).ok and is_doubly_regular(t).ok
-    assert unpacked == [27, 27]  # the construction check, then one product
+    assert decoded == [27, 27]  # the construction check, then one product
 
 
 # ------------------------------------------------------------------- random
@@ -570,6 +578,10 @@ def _reference_cases():
 
 def _check_against_reference(t: Tournament) -> None:
     assert t.in_rows == _in_rows_reference(t)
+    m = adjacency_matrix(t)  # it reads _signed too, so M is pinned to the bits
+    assert m.tolist() == [[(row >> j) & 1 for j in range(t.n)] for row in t.rows]
+    s = drt.tourney._signed(t)
+    assert s.dtype == np.int8 and np.array_equal(s, m - m.T)
     assert format_tournament(t) == _format_reference(t)
     if t.n >= 3:
         _check_verdict_pair(t)
