@@ -268,6 +268,8 @@ def cmd_discrepancy_sample(args, inputs: dict[str, str]) -> Outcome:
 
 def cmd_discrepancy_bounds(args, inputs: dict[str, str]) -> Outcome:
     t = _load(args.file, inputs, parse_tournament)
+    if args.c_value is not None:
+        check_theorem_bound(t, args.c_value)  # refuse its range before ranking
     if t.n <= DP_CAP:
         r = exact_max_consistent(t)
     else:

@@ -31,10 +31,10 @@ from .verdict import Verdict
 
 # Most maps (automorphisms x translations) one equivalence scan may try, and
 # the only cap on automorphisms: it bounds the (p - 1) * p maps on Z_p too.
-# A full scan of an inequivalent pair took 0.6 s over GL(3,3) x Z3^3 (303,264
-# maps), 0.7 s on Z503 (252,506) and about 5 s on Z1019 (1,037,342), on one core.
+# A full scan of an inequivalent pair took 0.3 s over GL(3,3) x Z3^3 (303,264
+# maps), 0.5 s on Z503 (252,506) and about 4 s on Z1019 (1,037,342), on one core.
 _SCAN_CAP = 1 << 20
-_WITNESS_SLICE_ENTRIES = 1 << 16  # image members x translations per slice
+_WITNESS_SLICE_ENTRIES = 1 << 16  # k coords x members x translations per slice
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,10 @@ def paley_set(field: FiniteField) -> CandidateSet:
 def difference_profile(d: CandidateSet) -> dict[Element, int]:
     """Count, for every nonzero g, the ordered pairs (a, b) in D x D with a - b = g."""
     group = d.group
-    members = np.array(d.indices, dtype=np.int64)
+    members = group.coords(d.indices)
     counts = np.zeros(group.order, dtype=np.int64)
-    digits = group._digits(members)
-    for a in d.indices:
-        diffs = group._sub_digits(group._digits(a), digits)
-        counts += np.bincount(diffs, minlength=group.order)
+    for a in members.T[:, :, None]:
+        counts += np.bincount(group.indices(a - members), minlength=group.order)
     # index 0 is the zero element, where the pairs a = b land
     nonzero = itertools.islice(group.elements(), 1, None)
     return {g: int(c) for g, c in zip(nonzero, counts[1:])}
@@ -219,17 +217,16 @@ def affine_witness(
         group.check_element(x)
     if len(source) != len(target):
         return None
-    n, m, k = group.order, group.moduli[0], len(group.moduli)
+    n, k = group.order, len(group.moduli)
     in_target = np.zeros(n, dtype=bool)
     in_target[[group.index(x) for x in target]] = True
-    coords = np.array(list(source), dtype=np.int64).reshape(len(source), k)
-    places = m ** np.arange(k - 1, -1, -1)
-    neg = group.sub_indices(0, np.arange(n))  # x + g is x - (-g)
-    cols = max(1, _WITNESS_SLICE_ENTRIES // max(1, len(source)))
+    coords = np.array(list(source), dtype=np.int64).reshape(len(source), k).T
+    shifts = group.coords(np.arange(n))[:, None, :]
+    cols = max(1, _WITNESS_SLICE_ENTRIES // max(1, k * len(source)))
     for tau in enumerate_automorphisms(group):
-        img = (coords @ np.array(tau.rows).T % m @ places)[:, None]
+        image = (np.array(tau.rows) @ coords % tau.modulus)[:, :, None]
         for start in range(0, n, cols):
-            moved = group.sub_indices(img, neg[None, start : start + cols])
+            moved = group.indices(image + shifts[:, :, start : start + cols])
             hit = np.flatnonzero(in_target[moved].all(axis=0))
             if hit.size:
                 return tau, group.element(start + int(hit[0]))

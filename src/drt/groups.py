@@ -2,9 +2,12 @@
 
 Groups are direct products of cyclic factors; elements are coordinate tuples
 and map to dense vertex indices through a mixed-radix bijection (first
-coordinate most significant).  Fields F_{p^k} are polynomial quotients with a
-canonical modulus: the lexicographically smallest monic irreducible, compared
-on the coefficient sequence constant term first.
+coordinate most significant).  `AbelianGroup.coords` and `indices` are that
+bijection over arrays, and the only vectorised encoding in the package: group
+arithmetic on index arrays is `indices` of sums or differences of `coords`.
+Fields F_{p^k} are polynomial quotients with a canonical modulus: the
+lexicographically smallest monic irreducible, compared on the coefficient
+sequence constant term first.
 """
 
 from __future__ import annotations
@@ -83,31 +86,15 @@ class AbelianGroup:
         """All elements in index order."""
         return itertools.product(*(range(m) for m in self.moduli))
 
-    def _digits(self, x: np.ndarray) -> list[np.ndarray]:
-        """Each coordinate of the indices `x` times its place value, least
-        significant first, so that their sum is `x` again."""
-        out, place = [], 1
-        for m in reversed(self.moduli):
-            out.append(x % (place * m) - x % place)
-            place *= m
-        return out
+    def coords(self, x) -> np.ndarray:
+        """`element` over an index array: coordinate c of x[...] at [c, ...]."""
+        return np.array(np.unravel_index(np.asarray(x, dtype=np.intp), self.moduli))
 
-    def _sub_digits(self, x: list, y: list) -> np.ndarray:
-        """index(sub(element(x), element(y))) from two `_digits` results.
-
-        A coordinate a of place p contributes a * p, and (a - b) * p taken
-        mod m * p is ((a - b) mod m) * p, so each coordinate costs one
-        subtraction and one mod however its digits were found.
-        """
-        out, span = 0, 1
-        for xc, yc, m in zip(x, y, reversed(self.moduli)):
-            span *= m
-            out = out + (xc - yc) % span
-        return out
-
-    def sub_indices(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """index(sub(element(x), element(y))) elementwise over index arrays."""
-        return self._sub_digits(self._digits(x), self._digits(y))
+    def indices(self, c) -> np.ndarray:
+        """`index` over coordinates stacked on the first axis, as `coords`
+        gives them.  Each is reduced mod its modulus first ("wrap"), so sums
+        and differences of coordinates may be passed as they are."""
+        return np.ravel_multi_index(c, self.moduli, mode="wrap")
 
     def __str__(self) -> str:
         return format_group_spec(self.moduli)

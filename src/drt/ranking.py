@@ -4,9 +4,11 @@ A ranking assigns each vertex a rank 1..n (rank 1 first); an edge x -> y is
 consistent when x is ranked before y.  The exact optimum over all n! rankings
 comes from a subset dynamic program over the 2^n prefix sets:
 
-    best(S) = max over v in S of  best(S \\ {v})  +  |{u in S \\ {v} : u -> v}|
+    best(S) = max over v in S of  best(S \\ {v})  +  |{u in S \\ {v} : v -> u}|
 
-where S is the set of earliest-ranked |S| vertices and v the last among them.
+where S is the set of latest-ranked |S| vertices and v the first among them.
+best(S) is C(T[S]), the optimum of the sub-tournament on S, whichever end of
+S a step takes v from.
 The value table is one byte per subset up to n = 23 (1 MiB at n = 20, 8 MiB
 at 23) and two at the hard cap 24 (32 MiB).  It is filled in numeric-order
 blocks (see `_dp_table`): rows of 2^8 low-vertex subsets, swept by the
@@ -123,8 +125,9 @@ def _dp_table(t: Tournament) -> np.ndarray:
 
     The table is swept as a (2^(n-b), 2^b) array: row h holds the subsets
     whose high vertices b..n-1 are the bits of h, column l their low vertices
-    0..b-1.  Taking v last in S gains |S & in(v)| (v is not in in(v)), which
-    splits into a row part |h & in(v) >> b| and a column part |l & in(v)|.
+    0..b-1.  Taking v first in S gains |S & out(v)| (v is not in out(v)),
+    which splits into a row part |h & out(v) >> b| and a column part
+    |l & out(v)|.
     Removing a high vertex leaves a row with one high bit fewer, so rows are
     swept by the popcount of h and that row is already final.  Removing a
     low vertex stays in the row, so inside a row the columns are swept by
@@ -139,10 +142,10 @@ def _dp_table(t: Tournament) -> np.ndarray:
     width, nrows = 1 << b, 1 << (n - b)
     dtype = _dp_dtype(n)
     best = np.zeros((nrows, width), dtype=dtype)
-    in_rows = np.array(t.in_rows, dtype=np.uint32)
+    out_rows = np.array(t.rows, dtype=np.uint32)
     cols = np.arange(width, dtype=np.uint32)
-    col_gain = np.bitwise_count(in_rows[:, None] & cols).astype(dtype)
-    in_high = in_rows >> b
+    col_gain = np.bitwise_count(out_rows[:, None] & cols).astype(dtype)
+    out_high = out_rows >> b
     # Per low popcount j: the columns l of that popcount, and for each of them
     # its j low vertices v, the columns l ^ 2^v they leave, and their gains.
     col_pc = np.bitwise_count(cols)
@@ -159,7 +162,7 @@ def _dp_table(t: Tournament) -> np.ndarray:
         layer = np.flatnonzero(row_pc == k).astype(np.uint32)
         for lo in range(0, layer.size, height):
             hs = layer[lo : lo + height]
-            row_gain = np.bitwise_count(hs[:, None] & in_high).astype(dtype)
+            row_gain = np.bitwise_count(hs[:, None] & out_high).astype(dtype)
             block = np.zeros((hs.size, width), dtype=dtype)
             # The k high vertices of each row, lowest first.
             high = np.nonzero((hs[:, None] >> high_bits) & 1)[1].reshape(hs.size, k)
@@ -192,15 +195,15 @@ def exact_max_consistent(t: Tournament) -> RankingResult:
     size = best.size
     value = int(best[size - 1])
 
-    # Backtrack: peel off the last-ranked vertex, smallest index on ties.
-    in_rows_py = t.in_rows
+    # Backtrack: peel off the last-ranked vertex, smallest index on ties.  It
+    # gains the vertices of prev that beat it: all r - 1 but those it beats.
     ranks = [0] * n
     s = size - 1
     for r in range(n, 0, -1):
         target = int(best[s])
         for v in mask_vertices(s):
             prev = s & ~(1 << v)
-            if int(best[prev]) + (in_rows_py[v] & prev).bit_count() == target:
+            if int(best[prev]) + r - 1 - (t.rows[v] & prev).bit_count() == target:
                 ranks[v] = r
                 s = prev
                 break

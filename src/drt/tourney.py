@@ -59,11 +59,6 @@ class Tournament:
             raise ValueError(f"pair ({i}, {j}) is oriented {kind}")
 
     @cached_property
-    def in_rows(self) -> tuple[int, ...]:
-        """in_rows[j] has bit i set iff i -> j (column masks of the adjacency)."""
-        return _pack(_signed(self) < 0)
-
-    @cached_property
     def _gram_defect(self) -> Optional[tuple[int, int, int]]:
         """The first row-major entry (i, j) of S S^T off n I - J, with its
         value, or None; `verify_gram_identities` and `is_doubly_regular`
@@ -129,10 +124,10 @@ def cayley_tournament(d: CandidateSet) -> Tournament:
     group = d.group
     n = group.order
     vertices = np.arange(n)
-    digits = group._digits(vertices)  # once per build, not once per member
+    coords = group.coords(vertices)  # once per build, not once per member
     adjacency = np.zeros((n, n), dtype=np.uint8)
-    for dd in d.indices:  # x -> y iff y = x - dd
-        adjacency[vertices, group._sub_digits(digits, group._digits(dd))] = 1
+    for dd in group.coords(d.indices).T[:, :, None]:  # x -> y iff y = x - dd
+        adjacency[vertices, group.indices(coords - dd)] = 1
     return _from_valid(adjacency)
 
 

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import ast
+import re
+from pathlib import Path
+
 import drt
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # Test-only oracles (brute_force_max, is_isomorphic_small, common_in_neighbors)
 # live in conftest.py; adding a name here is a deliberate API change.
@@ -63,3 +69,15 @@ def test_public_api():
     assert sorted(drt.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         assert hasattr(drt, name), name
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # a regex, not tomllib: the floor itself (3.10) has no tomllib
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M)
+    assert floor, "pyproject.toml declares no requires-python floor"
+    version = (int(floor[1]), int(floor[2]))
+    modules = sorted((ROOT / "src" / "drt").glob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)

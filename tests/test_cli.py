@@ -299,6 +299,26 @@ def test_discrepancy_sample_and_bounds(capsys, tmp_path):
     assert rep["results"]["c_value"] == 100
 
 
+@pytest.mark.parametrize("n, c_value", [(7, "-1"), (7, "22"), (27, "352")])
+def test_discrepancy_bounds_refuses_c_value_before_ranking(
+    monkeypatch, capsys, tmp_path, n, c_value
+):
+    def boom(*args, **kwargs):
+        raise AssertionError("ranked before the --c-value range check")
+
+    monkeypatch.setattr(cli, "exact_max_consistent", boom)
+    monkeypatch.setattr(cli, "heuristic_rank", boom)
+    tpath = tmp_path / "t.txt"
+    assert main(["tourney", "random", "--n", str(n), "-o", str(tpath)]) == 0
+    with pytest.raises(SystemExit) as info:
+        main(["discrepancy", "bounds", str(tpath), "--c-value", c_value])
+    assert info.value.code == 2
+    total = n * (n - 1) // 2
+    assert capsys.readouterr().err == (
+        f"drt: error: c_value {c_value} outside 0..{total}\n"
+    )
+
+
 def test_discrepancy_bounds_past_dp_cap_uses_local_search(capsys, tmp_path):
     dpath, tpath = tmp_path / "d.txt", tmp_path / "t.txt"
     main(["diffset", "paley", "--p", "3", "--k", "3", "-o", str(dpath)])

@@ -277,6 +277,7 @@ def test_witness_refuses_a_source_member_outside_the_group(bad):
 
 def test_inequivalent_pair():
     assert are_equivalent(D7, candidate_from_indices(Z7, [1, 2, 3])) is None
+    assert are_equivalent(D7, candidate_from_indices(Z7, [1, 2])) is None  # sizes
     # the same answer from the full search, without the profile precheck
     assert affine_witness(
         Z7, D7.elements, candidate_from_indices(Z7, [1, 2, 3]).elements

@@ -451,11 +451,15 @@ def test_rows_at_max_separates_ratios_that_share_a_float():
     assert _rows_at_max(zeros, np.array([5, 1, 7])).tolist() == [0, 1, 2]
 
 
-def test_sampled_input_validation(t7):
+def test_sampled_input_validation(t7, monkeypatch):
     with pytest.raises(ValueError):
         sampled_mixing_check(t7, 0, 1)
     with pytest.raises(ValueError):
         sampled_mixing_check(Tournament(1, (0,)), 10, 1)
+    big = random_tournament(SAMPLE_CAP + 1, 0)
+    monkeypatch.setattr(drt.discrepancy, "trit_block", None)  # any draw fails
+    with pytest.raises(ValueError, match="sampled check supports n <= 900, got 901"):
+        sampled_mixing_check(big, 10, 1)
 
 
 # --------------------------------------------------------------------- bounds

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -71,10 +72,17 @@ def test_index_element_round_trip(moduli):
 def test_sub_indices_matches_scalar_arithmetic(moduli):
     g = make_group(moduli)
     n = g.order
+    every = np.arange(n)
+    assert g.coords(every).T.tolist() == [list(x) for x in g.elements()]
+    assert g.indices(g.coords(every)).tolist() == every.tolist()
+    assert g.coords(()).shape == (len(moduli), 0)  # an empty set's members
     x, y = np.divmod(np.arange(n * n), n)
     want = [g.index(g.sub(g.element(a), g.element(b))) for a, b in zip(x, y)]
-    assert g.sub_indices(x, y).tolist() == want
-    assert g.sub_indices(n - 1, y[:n]).tolist() == want[-n:]  # broadcast scalar
+    assert g.indices(g.coords(x) - g.coords(y)).tolist() == want
+    sums = [g.index(g.add(g.element(a), g.element(b))) for a, b in zip(x, y)]
+    assert g.indices(g.coords(x) + g.coords(y)).tolist() == sums
+    # broadcast scalar
+    assert g.indices(g.coords(n - 1)[:, None] - g.coords(y[:n])).tolist() == want[-n:]
 
 
 def test_parse_group_spec():
@@ -84,9 +92,22 @@ def test_parse_group_spec():
     assert parse_group_spec("Z2XZ2XZ2") == (2, 2, 2)
 
 
-@pytest.mark.parametrize("bad", ["", "Z1", "Z0", "Q8", "Z7 x Z3", "Z", "7", "Z7^"])
+_SPEC_REFUSALS = {
+    "": "bad group spec token '' in ''",
+    "Z1": "modulus must be >= 2 in group spec 'Z1'",
+    "Z0": "modulus must be >= 2 in group spec 'Z0'",
+    "Q8": "bad group spec token 'Q8' in 'Q8'",
+    "Z7 x Z3": "group spec may not contain whitespace: 'Z7 x Z3'",
+    "Z": "bad group spec token 'Z' in 'Z'",
+    "7": "bad group spec token '7' in '7'",
+    "Z7^": "bad group spec token 'Z7^' in 'Z7^'",
+    "Z3^0": "exponent must be >= 1 in group spec 'Z3^0'",
+}
+
+
+@pytest.mark.parametrize("bad", list(_SPEC_REFUSALS))
 def test_parse_group_spec_rejects(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(_SPEC_REFUSALS[bad])}$"):
         parse_group_spec(bad)
 
 
@@ -163,6 +184,8 @@ def test_fermat_in_f27():
     for x in f.elements():
         if x != f.zero():
             assert f.pow(x, f.order - 1) == f.one()
+    with pytest.raises(ValueError, match="negative exponents not supported"):
+        f.pow(f.one(), -1)
 
 
 def test_make_field_rejects():

@@ -138,6 +138,11 @@ def test_brute_force_cap():
         brute_force_max(transitive(10))
 
 
+def _in_masks(t: Tournament) -> list[int]:
+    """in[v] has bit u set iff u -> v, read edge by edge."""
+    return [sum(1 << u for u in range(t.n) if t.has_edge(u, v)) for v in range(t.n)]
+
+
 def _exact_reference(t: Tournament) -> tuple[np.ndarray, RankingResult]:
     """The popcount-layer loop that the block sweep replaced, with its
     backtrack: one global argsort of the 2^n popcounts, then per layer and
@@ -149,7 +154,8 @@ def _exact_reference(t: Tournament) -> tuple[np.ndarray, RankingResult]:
     pc = np.bitwise_count(np.arange(size, dtype=np.uint32))
     order = np.argsort(pc, kind="stable").astype(np.uint32)
     bounds = np.concatenate(([0], np.cumsum(np.bincount(pc, minlength=n + 1))))
-    in_rows = [np.uint32(m) for m in t.in_rows]
+    in_py = _in_masks(t)
+    in_rows = [np.uint32(m) for m in in_py]
     for k in range(1, n + 1):
         layer = order[bounds[k] : bounds[k + 1]]
         for v in range(n):
@@ -167,7 +173,7 @@ def _exact_reference(t: Tournament) -> tuple[np.ndarray, RankingResult]:
         for v in range(n):  # smallest vertex index on ties
             prev = s & ~(1 << v)
             if (s >> v) & 1 and int(best[prev]) + (
-                t.in_rows[v] & prev
+                in_py[v] & prev
             ).bit_count() == int(best[s]):
                 ranks[v] = r
                 s = prev
@@ -258,7 +264,7 @@ def _local_search_reference(t: Tournament) -> tuple[int, tuple[int, ...], int]:
     start (the out-degree order), the same moves and tie-break, the same work."""
     n = t.n
     order = sorted(range(n), key=heuristic_rank(t, "out-degree").ranking.__getitem__)
-    rows, in_rows = t.rows, t.in_rows
+    rows, in_rows = t.rows, _in_masks(t)
     work = 0
     while True:
         best_delta = 0
@@ -375,6 +381,13 @@ def test_baseline_deterministic_and_above_half():
     assert a.min_value >= 45 / 2
     assert a.min_ratio <= a.mean_ratio <= a.max_ratio
     assert len(a.values) == 20
+
+
+def test_baseline_refuses_bad_sizes():
+    with pytest.raises(ValueError, match="baseline needs at least two vertices, got n = 1"):
+        random_baseline(1, 5, 0)
+    with pytest.raises(ValueError, match="need at least one trial, got 0"):
+        random_baseline(5, 0, 0)
 
 
 def test_baseline_uses_child_seeds():

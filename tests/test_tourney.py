@@ -54,6 +54,8 @@ def test_tournament_validation():
         Tournament(2, (0b00, 0b00))
     with pytest.raises(ValueError):
         Tournament(2, (0b110, 0b00))  # bit out of range
+    with pytest.raises(ValueError, match="expected 2 rows, got 1"):
+        Tournament(2, (0b10,))
 
 
 def test_mask_vertices_unpacks_and_refuses_negative_masks():
@@ -71,7 +73,6 @@ def test_degrees_and_edges():
     assert [t.out_degree(v) for v in range(3)] == [1, 1, 1]
     assert t.has_edge(0, 1) and t.has_edge(1, 2) and t.has_edge(2, 0)
     assert not t.has_edge(1, 0)
-    assert t.in_rows == (0b100, 0b001, 0b010)
 
 
 # ------------------------------------------------------------------ cayley
@@ -374,6 +375,8 @@ def test_builders_pass_the_full_check(paley):
 def test_random_tournament_refuses_orders_above_the_cap():
     with pytest.raises(ValueError, match="ORDER_CAP"):
         random_tournament(2**16 + 1, 0)
+    with pytest.raises(ValueError, match="need at least one vertex, got n = 0"):
+        random_tournament(0, 0)
 
 
 def test_random_tournament_is_deterministic():
@@ -450,6 +453,9 @@ def test_format_round_trip(t7):
         ("2\n010\n10\n", "expected 2"),
         ("x\n0\n", "line 1"),
         ("2\n0a\n10\n", "line 2"),
+        ("", "line 1: missing vertex count"),
+        ("0\n", "line 1: vertex count must be >= 1, got 0"),
+        ("2\n01\n00\n\nx\n", "line 5: unexpected content 'x'"),
     ],
 )
 def test_parse_tournament_errors(text, fragment):
@@ -478,15 +484,6 @@ def _construction_error_reference(n: int, rows: list[int]):
                 kind = "both ways" if forward else "neither way"
                 return f"pair ({i}, {j}) is oriented {kind}"
     return None
-
-
-def _in_rows_reference(t: Tournament) -> tuple[int, ...]:
-    cols = [0] * t.n
-    for i, row in enumerate(t.rows):
-        for j in range(t.n):
-            if (row >> j) & 1:
-                cols[j] |= 1 << i
-    return tuple(cols)
 
 
 def _gram_reference(t: Tournament) -> Verdict:
@@ -577,7 +574,6 @@ def _reference_cases():
 
 
 def _check_against_reference(t: Tournament) -> None:
-    assert t.in_rows == _in_rows_reference(t)
     m = adjacency_matrix(t)  # it reads _signed too, so M is pinned to the bits
     assert m.tolist() == [[(row >> j) & 1 for j in range(t.n)] for row in t.rows]
     s = drt.tourney._signed(t)
