@@ -71,10 +71,19 @@ Outcome = tuple[Optional[dict], int]
 
 def _load(path: str, inputs: dict[str, str], parse):
     """`parse` applied to the file's text; its sha256 goes into `inputs`."""
-    import hashlib  # here, so that commands without an input file never load OpenSSL
+    # CPython's built-in SHA-256 (`_sha2` from 3.12, `_sha256` before), so
+    # that no command maps OpenSSL's libcrypto: `hashlib` would, and it is
+    # imported here only where neither built-in exists.
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
     data = Path(path).read_bytes()
-    inputs[path] = hashlib.sha256(data).hexdigest()
+    inputs[path] = sha256(data).hexdigest()
     try:
         return parse(data.decode("utf-8"))  # a UnicodeDecodeError is a ValueError
     except ValueError as e:

@@ -113,8 +113,10 @@ def exhaustive_mixing_check(t: Tournament) -> MixingReport:
     times the (c, 2^c - 1) indicator matrix of the nonempty subsets g of
     those positions, give d(A, B) = e(A,B) - e(B,A) for every B inside the
     complement in one matmul, column g holding the B made of the positions
-    in g.  The matmul is float64 and exact: every partial sum is an integer
-    of size at most n^2 <= 256.  Ascending positions make g -> B preserve
+    in g.  The matmul is float32 and exact in any summation order: float32
+    holds every integer below 2^24, and every partial sum is an integer of
+    size at most (n - 1) * n, which is 240 at SWEEP_CAP.  The subset
+    indices g < 2^15 are uint16.  Ascending positions make g -> B preserve
     order, so the smallest row and column of a tie are its smallest (A, B).
 
     A batch is cut into slices of about _SWEEP_SLICE_PAIRS pairs.  In a
@@ -143,13 +145,14 @@ def exhaustive_mixing_check(t: Tournament) -> MixingReport:
         a_masks = masks[sizes == n - c]
         outside = ((a_masks[:, None] >> np.arange(n)) & 1) == 0
         comp = (np.flatnonzero(outside) % n).reshape(-1, c)
-        gathered = col[a_masks[:, None], comp].astype(np.float64)
-        g = np.arange(1, 1 << c)
-        subsets = ((g >> np.arange(c)[:, None]) & 1).astype(np.float64)
+        gathered = col[a_masks[:, None], comp].astype(np.float32)
+        g = np.arange(1, 1 << c, dtype=np.uint16)
+        subsets = ((g >> np.arange(c, dtype=np.uint16)[:, None]) & 1).astype(np.float32)
         b_sizes = np.bitwise_count(g)
         den = n * (n - c) * b_sizes.astype(np.int64)
         roots = [math.isqrt(n * (n - c) * k) for k in range(c + 1)]
-        threshold = np.array(roots)[b_sizes]
+        # float32 like d, so that `d > threshold` makes no float64 copy of d
+        threshold = np.array(roots, dtype=np.float32)[b_sizes]
         pairs += a_masks.size * g.size
         rows = max(1, _SWEEP_SLICE_PAIRS // g.size)
         for lo in range(0, a_masks.size, rows):

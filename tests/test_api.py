@@ -81,3 +81,43 @@ def test_sources_parse_at_the_declared_python_floor():
     assert modules
     for path in modules:
         ast.parse(path.read_text(), filename=str(path), feature_version=version)
+
+
+OPENSSL_MODULES = {"hashlib", "_hashlib"}
+
+
+def _import_time_modules(source: str) -> list[str]:
+    """Modules named by the import statements that run when `source` is
+    imported: every one outside a function body, under `if` and `try` too."""
+    found = []
+    stack = [ast.parse(source)]
+    while stack:
+        for node in ast.iter_child_nodes(stack.pop()):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                found += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.append(node.module)
+            stack.append(node)
+    return found
+
+
+def test_import_scan_sees_module_level_only():
+    source = (
+        "import os, hashlib.x\n"
+        "try:\n    from _hashlib import new\nexcept ImportError:\n    pass\n"
+        "class C:\n    import json\n"
+        "def f():\n    import zlib\n"
+    )
+    assert sorted(_import_time_modules(source)) == [
+        "_hashlib", "hashlib.x", "json", "os"]
+
+
+def test_no_module_imports_openssl_at_import_time():
+    # hashlib maps OpenSSL's libcrypto; drt hashes inputs with CPython's
+    # built-in SHA-256 inside cli._load, so no process pays for it at import.
+    for path in sorted((ROOT / "src" / "drt").glob("*.py")):
+        modules = _import_time_modules(path.read_text())
+        openssl = {name.partition(".")[0] for name in modules} & OPENSSL_MODULES
+        assert not openssl, f"{path.name} imports {sorted(openssl)} at module level"

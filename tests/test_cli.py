@@ -412,22 +412,65 @@ def _console_script() -> tuple[str, str]:
     return module, func
 
 
-@pytest.mark.parametrize("argv", [["--version"], ["pipeline", "paley", "--p", "3"]],
-                         ids=["version", "pipeline"])
+# What each probed command reads, as files under the test's tmp directory.
+ENTRY_COMMANDS = {
+    "version": ["--version"],
+    "pipeline": ["pipeline", "paley", "--p", "3"],
+    "rank-exact": ["rank", "exact", "{t7}"],
+    "sweep": ["discrepancy", "sweep", "{t7}"],
+    "sample": ["discrepancy", "sample", "{t7}", "--samples", "100"],
+    "tourney-verify": ["tourney", "verify", "{t7}"],
+    "diffset-verify": ["diffset", "verify", "{d7}"],
+}
+
+
+def _paley7_files(tmp_path: Path) -> dict[str, str]:
+    """Paths of the Paley 7 diffset file {d7} and its tournament file {t7}."""
+    paths = {k: str(tmp_path / k) for k in ("d7", "t7")}
+    Path(paths["d7"]).write_text("Z7\n1 2 4\n")
+    assert main(["tourney", "cayley", paths["d7"], "-o", paths["t7"]]) == 0
+    return paths
+
+
+def _openssl_digests(argv: list[str], tmp_path: Path) -> dict[str, str]:
+    """What a report's `inputs` must hold: hashlib's sha256 of each file read."""
+    read = [a for a in argv if a.startswith(str(tmp_path))]
+    return {path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in read}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_COMMANDS))
 @pytest.mark.parametrize("launch", ["module", "script"])
-def test_entry_freezes_imports_and_leaves_openssl_unloaded(argv, launch):
+def test_entry_freezes_imports_and_leaves_openssl_unloaded(name, launch, tmp_path):
     if launch == "module":  # what `python -m drt.cli` does
         line = "runpy.run_module('drt.cli', run_name='__main__', alter_sys=True)"
     else:  # what the installed `drt` wrapper does
         module, func = _console_script()
         line = f"from {module} import {func}; sys.exit({func}())"
+    paths = _paley7_files(tmp_path)
+    argv = [a.format(**paths) for a in ENTRY_COMMANDS[name]]
     proc = subprocess.run(
         [sys.executable, "-c", ENTRY_PROBE.format(launch=line), *argv],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("drt " if argv == ["--version"] else "{")
+    if name == "version":
+        assert proc.stdout.startswith("drt ")
+    else:
+        assert json.loads(proc.stdout)["inputs"] == _openssl_digests(argv, tmp_path)
     assert proc.stderr == "True False\n"
+
+
+@pytest.mark.parametrize("blocked", [("_sha2",), ("_sha2", "_sha256")],
+                         ids=["sha256", "hashlib"])
+def test_load_falls_back_to_hashlib(capsys, monkeypatch, tmp_path, blocked):
+    # A None entry in sys.modules makes an import of that name fail.
+    for name in blocked:
+        monkeypatch.setitem(sys.modules, name, None)
+    paths = _paley7_files(tmp_path)
+    for argv in (["diffset", "verify", paths["d7"]], ["rank", "exact", paths["t7"]]):
+        code, rep = report_of(capsys, argv)
+        assert code == 0
+        assert rep["inputs"] == _openssl_digests(argv, tmp_path)
 
 
 def test_console_script_is_the_module_entry():

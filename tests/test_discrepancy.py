@@ -11,6 +11,7 @@ import pytest
 import drt.discrepancy
 from drt.discrepancy import (
     SAMPLE_CAP,
+    SWEEP_CAP,
     MixingReport,
     _rows_at_max,
     bound_is_vacuous,
@@ -263,6 +264,81 @@ def test_sweep_frozen_at_cap():
     assert r.pairs_checked == 42_915_650
     # measured: about 12 MiB
     assert peak <= 64 * 2**20, f"n=16 sweep peaked at {peak} bytes"
+
+
+def test_sweep_peak_is_float32():
+    # measured 1.45 and 5.96 MiB; the float64 sweep peaked at 2.90 and 12.1 MiB
+    _, peak = _traced(exhaustive_mixing_check, random_tournament(14, 0))
+    assert peak <= 1.6 * 2**20, f"n=14 sweep peaked at {peak} bytes"
+    _, peak = _traced(exhaustive_mixing_check, random_tournament(16, 16))
+    assert peak <= 6.0 * 2**20, f"n=16 sweep peaked at {peak} bytes"  # README
+
+
+def _transitive_tally(n: int) -> tuple[int, int, int, int]:
+    """Pairs, violations and the largest d_+^2 / (n |A| |B|) (as numerator and
+    denominator) over every (A, B) of transitive(n), each pair's d exact.
+
+    A DP over the vertices in order counts the assignments of 0..v-1 by
+    (|A|, |B|, d): v joining B gains an edge from each earlier A vertex
+    (d += |A|), v joining A one into it from each earlier B vertex (d -= |B|).
+    """
+    m = n * n // 4  # |d| <= |A| |B|
+    counts = np.zeros((n + 1, n + 1, 2 * m + 1), dtype=np.int64)
+    counts[0, 0, m] = 1
+    for v in range(n):
+        grown = counts.copy()  # v in neither
+        for a in range(v + 1):
+            for b in range(v + 1 - a):
+                row = counts[a, b]
+                grown[a + 1, b, : row.size - b] += row[b:]
+                grown[a, b + 1, a:] += row[: row.size - a]
+        counts = grown
+    d = np.arange(-m, m + 1)
+    pairs = violations = 0
+    best = (0, 1)
+    for a in range(1, n):
+        for b in range(1, n + 1 - a):
+            den = n * a * b
+            present = d[(counts[a, b] > 0) & (d > 0)]
+            pairs += int(counts[a, b].sum())
+            violations += int(counts[a, b][d * d * (d > 0) > den].sum())
+            if present.size:
+                num = int(present.max()) ** 2
+                if num * best[1] > best[0] * den:
+                    best = (num, den)
+    return pairs, violations, *best
+
+
+def test_transitive_tally_matches_check_mixing_pair_by_pair():
+    n = 7
+    t = transitive(n)
+    pairs = violations = 0
+    best = (0, 1)
+    for assign in itertools.product((0, 1, 2), repeat=n):
+        a = vertex_mask([v for v in range(n) if assign[v] == 1])
+        b = vertex_mask([v for v in range(n) if assign[v] == 2])
+        if a == 0 or b == 0:
+            continue
+        pairs += 1
+        d, holds = check_mixing(t, a, b)
+        violations += not holds
+        num, den = max(d, 0) ** 2, n * a.bit_count() * b.bit_count()
+        if num * best[1] > best[0] * den:
+            best = (num, den)
+    assert _transitive_tally(n) == (pairs, violations, *best)
+
+
+def test_sweep_exact_where_d_is_largest():
+    # The transitive tournament has the largest |d| of any at each (|A|, |B|),
+    # d = |A| |B| up to 64, and col entries up to 15: the float32 sums at their
+    # largest.  Its every pair's d is tallied exactly by the DP above.
+    t = transitive(SWEEP_CAP)
+    r = exhaustive_mixing_check(t)
+    assert (r.pairs_checked, r.violations, r.max_numerator, r.max_denominator) == (
+        _transitive_tally(SWEEP_CAP))
+    assert r.worst_pair == (0x00FF, 0xFF00)  # the one pair at d = 8 * 8
+    assert check_mixing(t, *r.worst_pair) == (64, False)
+    assert (64**2, SWEEP_CAP * 8 * 8) == (r.max_numerator, r.max_denominator)
 
 
 def test_sweep_flags_transitive_violations(transitive8):
