@@ -54,13 +54,25 @@ REPORT_COMMANDS = {
 }
 
 
+def _paley7_files(tmp_path: Path) -> dict[str, str]:
+    """Paths of the Paley 7 diffset file {d7} and its tournament file {t7}."""
+    paths = {k: str(tmp_path / k) for k in ("d7", "t7")}
+    Path(paths["d7"]).write_text("Z7\n1 2 4\n")
+    assert main(["tourney", "cayley", paths["d7"], "-o", paths["t7"]]) == 0
+    return paths
+
+
+def _openssl_digests(argv: list[str], tmp_path: Path) -> dict[str, str]:
+    """What a report's `inputs` must hold: hashlib's sha256 of each file read."""
+    read = [a for a in argv if a.startswith(str(tmp_path))]
+    return {path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in read}
+
+
 @pytest.mark.parametrize("name", sorted(REPORT_COMMANDS))
 def test_report_envelope(capsys, tmp_path, name):
-    files = {"d7": "Z7\n1 2 4\n", "neg7": "Z7\n3 5 6\n"}
-    for key, text in files.items():
-        (tmp_path / key).write_text(text)
-    paths = {k: str(tmp_path / k) for k in ("d7", "neg7", "t7")}
-    assert main(["tourney", "cayley", paths["d7"], "-o", paths["t7"]]) == 0
+    paths = _paley7_files(tmp_path)
+    paths["neg7"] = str(tmp_path / "neg7")
+    Path(paths["neg7"]).write_text("Z7\n3 5 6\n")
     argv = [a.format(**paths) for a in REPORT_COMMANDS[name]]
     code, rep = report_of(capsys, argv)
     assert code == 0
@@ -69,10 +81,7 @@ def test_report_envelope(capsys, tmp_path, name):
     assert rep["schema_version"] == 1
     assert rep["command"] == " ".join(argv[:2])
     assert isinstance(rep["wall_time_ms"], float)
-    read = [a for a in argv if a.startswith(str(tmp_path))]
-    assert rep["inputs"] == {
-        path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in read
-    }
+    assert rep["inputs"] == _openssl_digests(argv, tmp_path)
     if name in ("pipeline-paley", "rank-baseline"):
         assert rep["inputs"] == {}
 
@@ -422,20 +431,6 @@ ENTRY_COMMANDS = {
     "tourney-verify": ["tourney", "verify", "{t7}"],
     "diffset-verify": ["diffset", "verify", "{d7}"],
 }
-
-
-def _paley7_files(tmp_path: Path) -> dict[str, str]:
-    """Paths of the Paley 7 diffset file {d7} and its tournament file {t7}."""
-    paths = {k: str(tmp_path / k) for k in ("d7", "t7")}
-    Path(paths["d7"]).write_text("Z7\n1 2 4\n")
-    assert main(["tourney", "cayley", paths["d7"], "-o", paths["t7"]]) == 0
-    return paths
-
-
-def _openssl_digests(argv: list[str], tmp_path: Path) -> dict[str, str]:
-    """What a report's `inputs` must hold: hashlib's sha256 of each file read."""
-    read = [a for a in argv if a.startswith(str(tmp_path))]
-    return {path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in read}
 
 
 @pytest.mark.parametrize("name", list(ENTRY_COMMANDS))
