@@ -300,6 +300,8 @@ def cmd_discrepancy_bounds(args, inputs: dict[str, str]) -> Outcome:
 def cmd_pipeline_paley(args, inputs: dict[str, str]) -> Outcome:
     if args.samples < 1:  # refused whether or not q is sampled
         raise ValueError(f"need at least one sample, got {args.samples}")
+    if args.rank_cap < 0:
+        raise ValueError(f"--rank-cap must be at least 0, got {args.rank_cap}")
     field = make_field(args.p, args.k)
     # Every q above SWEEP_CAP is sampled, and the sampler stops at SAMPLE_CAP;
     # q up to --rank-cap is ranked exactly, and the DP stops at DP_CAP: refuse

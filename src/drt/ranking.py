@@ -9,15 +9,24 @@ comes from a subset dynamic program over the 2^n prefix sets:
 where S is the set of latest-ranked |S| vertices and v the first among them.
 best(S) is C(T[S]), the optimum of the sub-tournament on S, whichever end of
 S a step takes v from.
-The value table is one byte per subset up to n = 23 (1 MiB at n = 20, 8 MiB
-at 23) and two at the hard cap 24 (32 MiB).  It is filled in numeric-order
-blocks (see `_dp_table`): rows of 2^8 low-vertex subsets, swept by the
-popcount of their high vertices, a bounded slice of rows at a time, and the
-columns of each row by their own popcount.  Measured in-process on one core
-of a 2-vCPU VM (Python 3.11, numpy 2.4), median of 7 runs: 21 ms at n = 20,
-59 ms at n = 22, 93 ms at n = 23, 0.34 s at n = 24; the tracemalloc peak of
-the whole call is 1.15-1.20x the table at n = 20-24.  Reconstruction
-backtracks through the table, breaking ties toward the smallest vertex index.
+The values take one byte per subset up to n = 23 and two at the hard cap
+24, where binom(24, 2) = 276.  They are filled in row layers (see
+`_dp_layers`): rows of 2^8 low-vertex subsets, one layer per popcount k of
+their high vertices, a bounded slice of rows at a time, and the columns of
+each row by their own popcount.  Up to n = 20, where the whole table is at
+most 1 MiB, every layer is kept.  Above that a layer below the cut
+k = (n - 8)//2 + 2 is dropped as soon as the next one is complete, so
+beside the layers above the cut only the layer being filled and the one it
+reads are held.  Reconstruction backtracks through the kept layers,
+breaking ties toward the smallest vertex index.  When the high part of the
+set left reaches the cut, the at most cut + 8 vertices left, in ascending
+order, are ranked by an exact DP of their own, with the same tie-break and
+so the same ranks (Hirschberg's linear-space idea: keep what the backtrack
+needs and recompute the rest on a smaller instance).  Measured in-process
+on one core of a 2-vCPU VM (Python 3.11, numpy 2.4), median of 7 runs on a
+seeded random tournament: 12 ms at n = 20, 31 ms at n = 22, 57 ms at
+n = 23, 0.21 s at n = 24.  The tracemalloc peak of the whole call is 1.2x
+the 2^n table at n = 20 and 0.5-0.6x it at n = 22-24.
 """
 
 from __future__ import annotations
@@ -100,7 +109,8 @@ def _dp_dtype(n: int) -> type:
 
 
 def dp_table_nbytes(n: int) -> int:
-    """Bytes in the DP value table at size n (2^n entries of `_dp_dtype(n)`)."""
+    """Bytes in the whole DP value table at size n: 2^n entries of
+    `_dp_dtype(n)`.  The DP holds all of it at once only up to n = 20."""
     return np.dtype(_dp_dtype(n)).itemsize << n
 
 
@@ -108,41 +118,48 @@ def _check_dp_cap(n: int) -> None:
     """Refuse n above DP_CAP before anything is allocated."""
     if n > DP_CAP:
         raise ValueError(
-            f"exact DP capped at n = {DP_CAP} (table would need"
-            f" {dp_table_nbytes(n)} bytes); use heuristic_rank for n = {n}"
+            f"exact DP capped at n = {DP_CAP}, its memory doubling per vertex;"
+            f" use heuristic_rank for n = {n}"
         )
 
 
 _BLOCK_BITS = 8  # low vertices per table row: rows of 256 entries
 
 
-def _dp_table(t: Tournament) -> np.ndarray:
-    """best[S] for every subset S of the vertices, as a flat array.
+def _dp_cut(n: int) -> int:
+    """Lowest row layer `_dp_layers` keeps at size n: all of them up to n = 20
+    (a table of at most 1 MiB), then those past the middle layer plus two."""
+    return 0 if n <= 20 else (n - _BLOCK_BITS) // 2 + 2
+
+
+def _dp_layers(rows, cut: int) -> tuple[list, np.ndarray]:
+    """best[S] for the subsets S of the tournament with out-neighbour masks
+    `rows`, in row layers: the entry of S is layers[k][pos[h], l], where the
+    bits of h are its k high vertices b..n-1 and those of l its low vertices
+    0..b-1.  Layer k holds the binom(n-b, k) rows h of popcount k in numeric
+    order; the layers below `cut` come back as None.
 
     Every entry and every candidate, partial sums included, counts consistent
-    edges of a sub-tournament on S, so it is at most binom(n, 2); the table is
-    `_dp_dtype(n)`, one byte per subset up to n = 23, and no sum can wrap.
+    edges of a sub-tournament on S, so it is at most binom(n, 2); the layers
+    are `_dp_dtype(n)`, one byte per subset up to n = 23, and no sum can wrap.
 
-    The table is swept as a (2^(n-b), 2^b) array: row h holds the subsets
-    whose high vertices b..n-1 are the bits of h, column l their low vertices
-    0..b-1.  Taking v first in S gains |S & out(v)| (v is not in out(v)),
-    which splits into a row part |h & out(v) >> b| and a column part
-    |l & out(v)|.
-    Removing a high vertex leaves a row with one high bit fewer, so rows are
-    swept by the popcount of h and that row is already final.  Removing a
+    Taking v first in S gains |S & out(v)| (v is not in out(v)), which splits
+    into a row part |h & out(v) >> b| and a column part |l & out(v)|; for a
+    high vertex both come from one gather of `gain_tab`.  Removing a high
+    vertex leaves a row of layer k - 1, which is already final.  Removing a
     low vertex stays in the row, so inside a row the columns are swept by
-    their popcount.  A layer of rows is updated max(2^(n-b) / 32, 2^(14-b))
-    rows at a time, which keeps the scratch arrays a small fraction of the
-    table.  The low-vertex steps run on the transposed slice, one row per
-    column l: gathering columns of the slice would copy one element at a
-    time, while rows of its transpose copy whole and reduce over a long axis.
+    their popcount.  A layer is filled max(2^(n-b) / 32, 2^(14-b)) rows at a
+    time, which keeps the scratch arrays a small fraction of the table.  The
+    low-vertex steps run on the transposed slice, one row per column l:
+    gathering columns of the slice would copy one element at a time, while
+    rows of its transpose copy whole and reduce over a long axis.  Layer
+    k - 1 is dropped once layer k is complete if k - 1 < cut.
     """
-    n = t.n
+    n = len(rows)
     b = min(n, _BLOCK_BITS)
     width, nrows = 1 << b, 1 << (n - b)
     dtype = _dp_dtype(n)
-    best = np.zeros((nrows, width), dtype=dtype)
-    out_rows = np.array(t.rows, dtype=np.uint32)
+    out_rows = np.array(rows, dtype=np.uint32)
     cols = np.arange(width, dtype=np.uint32)
     col_gain = np.bitwise_count(out_rows[:, None] & cols).astype(dtype)
     out_high = out_rows >> b
@@ -155,22 +172,28 @@ def _dp_table(t: Tournament) -> np.ndarray:
         v = np.nonzero((tgt[:, None] >> np.arange(b)) & 1)[1].reshape(tgt.size, j)
         src = tgt[:, None] ^ (1 << v)
         low_steps.append((tgt, src, v, col_gain[v, src][:, :, None]))
+    # gain_tab[i, r]: the gains of taking high vertex b + i first, by column,
+    # in a row whose part of that gain is r.
+    gain_tab = col_gain[b:, None] + np.arange(n - b + 1, dtype=dtype)[:, None]
     row_pc = np.bitwise_count(np.arange(nrows, dtype=np.uint32))
+    pos = np.empty(nrows, dtype=np.intp)
     height = max(nrows // 32, (1 << 14) >> b)
     high_bits = np.arange(n - b, dtype=np.uint32)
+    layers: list = []
     for k in range(n - b + 1):
-        layer = np.flatnonzero(row_pc == k).astype(np.uint32)
-        for lo in range(0, layer.size, height):
-            hs = layer[lo : lo + height]
+        members = np.flatnonzero(row_pc == k).astype(np.uint32)
+        pos[members] = np.arange(members.size)
+        layer = np.zeros((members.size, width), dtype=dtype)
+        for lo in range(0, members.size, height):
+            hs = members[lo : lo + height]
+            block = layer[lo : lo + hs.size]
             row_gain = np.bitwise_count(hs[:, None] & out_high).astype(dtype)
-            block = np.zeros((hs.size, width), dtype=dtype)
             # The k high vertices of each row, lowest first.
             high = np.nonzero((hs[:, None] >> high_bits) & 1)[1].reshape(hs.size, k)
             for i in range(k):
-                w = high[:, i] + b
-                cand = best[hs ^ (1 << high[:, i])]
-                cand += col_gain[w]
-                cand += row_gain[np.arange(hs.size), w][:, None]
+                w = high[:, i]
+                cand = layers[k - 1][pos[hs ^ (1 << w)]]
+                cand += gain_tab[w, row_gain[np.arange(hs.size), w + b]]
                 np.maximum(block, cand, out=block)
             bt = np.ascontiguousarray(block.T)
             gt = np.ascontiguousarray(row_gain[:, :b].T)
@@ -179,8 +202,65 @@ def _dp_table(t: Tournament) -> np.ndarray:
                 cand += gain
                 cand += gt[v]
                 bt[tgt] = np.maximum(bt[tgt], cand.max(axis=1))
-            best[hs] = bt.T
-    return best.reshape(-1)
+            block[...] = bt.T
+        layers.append(layer)
+        if 0 < k <= cut:
+            layers[k - 1] = None
+    return layers, pos
+
+
+def _induced_rows(rows, vertices: list[int]) -> list[int]:
+    """Out-neighbour masks of the sub-tournament on `vertices`, renumbered
+    0.. in the order given."""
+    return [
+        sum(1 << j for j, u in enumerate(vertices) if rows[v] >> u & 1)
+        for v in vertices
+    ]
+
+
+def _exact_ranks(rows, cut: int) -> tuple[int, list[int]]:
+    """C(T) and an optimal ranking, as a rank per vertex, for the tournament
+    with out-neighbour masks `rows`, from `_dp_layers(rows, cut)`.
+
+    The backtrack peels off the last-ranked vertex, smallest index on ties.
+    It gains the vertices of prev that beat it: all r - 1 but those it beats.
+    Once the high part of the set left reaches the lowest kept layer, its
+    predecessors are gone; the at most cut + b vertices left are ranked by an
+    exact DP of their own, listed in ascending order, so the tie-break and
+    every rank stay what the whole table gives.
+    """
+    n = len(rows)
+    b = min(n, _BLOCK_BITS)
+    low = (1 << b) - 1
+    layers, pos = _dp_layers(rows, cut)
+
+    def best(s: int) -> int:
+        h = s >> b
+        return int(layers[h.bit_count()][pos[h], s & low])
+
+    s = (1 << n) - 1
+    value = best(s)
+    ranks = [0] * n
+    for r in range(n, 0, -1):
+        k = (s >> b).bit_count()
+        if k and layers[k - 1] is None:
+            # Through the private helper: a caller that wraps the public name
+            # must see one exact_max_consistent call per request.
+            left = mask_vertices(s)
+            sub_rows = _induced_rows(rows, left)
+            for v, rank in zip(left, _exact_ranks(sub_rows, _dp_cut(r))[1]):
+                ranks[v] = rank
+            break
+        target = best(s)
+        for v in mask_vertices(s):
+            prev = s & ~(1 << v)
+            if best(prev) + r - 1 - (rows[v] & prev).bit_count() == target:
+                ranks[v] = r
+                s = prev
+                break
+        else:  # unreachable: some vertex always attains the max
+            raise AssertionError("DP backtrack found no predecessor")
+    return value, ranks
 
 
 def exact_max_consistent(t: Tournament) -> RankingResult:
@@ -191,25 +271,8 @@ def exact_max_consistent(t: Tournament) -> RankingResult:
     """
     n = t.n
     _check_dp_cap(n)
-    best = _dp_table(t)
-    size = best.size
-    value = int(best[size - 1])
-
-    # Backtrack: peel off the last-ranked vertex, smallest index on ties.  It
-    # gains the vertices of prev that beat it: all r - 1 but those it beats.
-    ranks = [0] * n
-    s = size - 1
-    for r in range(n, 0, -1):
-        target = int(best[s])
-        for v in mask_vertices(s):
-            prev = s & ~(1 << v)
-            if int(best[prev]) + r - 1 - (t.rows[v] & prev).bit_count() == target:
-                ranks[v] = r
-                s = prev
-                break
-        else:  # unreachable: some vertex always attains the max
-            raise AssertionError("DP backtrack found no predecessor")
-    return _result(t, tuple(ranks), "exact-dp", size, claimed=value)
+    value, ranks = _exact_ranks(t.rows, _dp_cut(n))
+    return _result(t, tuple(ranks), "exact-dp", 1 << n, claimed=value)
 
 
 def _order_to_ranking(order: list[int]) -> tuple[int, ...]:

@@ -220,6 +220,40 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path):
         assert "Traceback" not in proc.stderr, argv
 
 
+def test_pipeline_refuses_a_negative_rank_cap_before_the_field(monkeypatch, capsys):
+    def boom(*args):
+        raise AssertionError("field built")
+
+    monkeypatch.setattr(cli, "make_field", boom)
+    with pytest.raises(SystemExit) as info:
+        main(["pipeline", "paley", "--p", "7", "--rank-cap", "-1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "drt: error: --rank-cap must be at least 0, got -1\n"
+
+
+def test_rank_exact_enters_the_dp_once(monkeypatch, capsys, tmp_path):
+    # A tracer wraps every binding of exact_max_consistent in the drt modules;
+    # the DP's own recursion at n = 23 must not go back through that name.
+    path = tmp_path / "t23.txt"
+    assert main(["tourney", "random", "--n", "23", "--seed", "5", "-o", str(path)]) == 0
+    original = cli.exact_max_consistent
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "drt" or name.startswith("drt."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    assert main(["rank", "exact", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["method"] == "exact-dp"
+    assert len(calls) == 1
+
+
 def test_pipeline_rank_cap_at_or_below_dp_cap_still_ranks_exactly(capsys):
     code, rep = report_of(capsys, ["pipeline", "paley", "--p", "23", "--rank-cap", "23"])
     assert code == 0

@@ -10,7 +10,9 @@ from drt.diffset import paley_set
 from drt.groups import make_field
 from drt.ranking import (
     RankingResult,
-    _dp_table,
+    _dp_cut,
+    _dp_layers,
+    _exact_ranks,
     _local_search_moves,
     _order_to_ranking,
     _out_degree_order,
@@ -201,10 +203,26 @@ def _dp_cases():
         yield pytest.param(t, id=f"paley{p}")
 
 
+def _layers_of(table: np.ndarray, n: int) -> list[np.ndarray]:
+    """A flat value table cut into `_dp_layers`' row layers: rows of 2^b
+    low-vertex subsets, grouped by the popcount of their high part."""
+    rows = table.reshape(-1, 1 << min(n, 8))
+    row_pc = np.bitwise_count(np.arange(rows.shape[0]))
+    return [rows[row_pc == k] for k in range(rows.shape[0].bit_length())]
+
+
 @pytest.mark.parametrize("t", list(_dp_cases()))
 def test_exact_matches_reference_loop(t):
     table, result = _exact_reference(t)
-    assert np.array_equal(_dp_table(t), table)
+    expected = _layers_of(table, t.n)
+    every, _ = _dp_layers(t.rows, 0)
+    assert len(every) == len(expected)
+    for layer, want in zip(every, expected):
+        assert np.array_equal(layer, want)
+    cut = _dp_cut(t.n)
+    kept, _ = _dp_layers(t.rows, cut)
+    for k, (layer, want) in enumerate(zip(kept, expected)):
+        assert layer is None if k < cut else np.array_equal(layer, want)
     assert exact_max_consistent(t) == result
 
 
@@ -222,10 +240,33 @@ def test_dp_table_size_and_largest_value(n):
     # transitive(n) fills the top entry with binom(n, 2), the largest value the
     # table must hold: 253 in the byte table at n = 23, 276 in uint16 at 24.
     t = transitive(n)
-    table = _dp_table(t)
-    assert table.nbytes == dp_table_nbytes(n)
-    assert int(table[-1]) == n * (n - 1) // 2
+    layers, _ = _dp_layers(t.rows, 0)
+    assert sum(layer.nbytes for layer in layers) == dp_table_nbytes(n)
+    assert int(layers[-1][-1, -1]) == n * (n - 1) // 2
     assert exact_max_consistent(t).ranking == tuple(range(1, n + 1))
+
+
+def _cut_cases():
+    for n in range(21, 25):
+        yield pytest.param(random_tournament(n, derive_seed(31, n)), id=f"random{n}")
+    yield pytest.param(cayley_tournament(paley_set(make_field(23, 1))), id="paley23")
+
+
+@pytest.mark.parametrize("t", list(_cut_cases()))
+def test_cut_backtrack_matches_every_layer_kept(t):
+    # Above n = 20 the backtrack hands the last vertices to a DP of their own;
+    # Paley 23 has many ties, so a changed tie-break would show.
+    assert _dp_cut(t.n) > 0
+    value, ranks = _exact_ranks(t.rows, 0)
+    every = RankingResult(value, tuple(ranks), "exact-dp", 1 << t.n)
+    assert exact_max_consistent(t) == every
+
+
+@pytest.mark.parametrize("t", [random_tournament(15, 3), transitive(14)])
+def test_backtrack_hands_off_at_every_cut(t):
+    every = _exact_ranks(t.rows, 0)
+    for cut in range(1, t.n - 8 + 1):
+        assert _exact_ranks(t.rows, cut) == every, cut
 
 
 # ---------------------------------------------------------------- heuristics
