@@ -253,7 +253,7 @@ def test_criterion_8_dp_time_peak_and_rerun_stability():
     assert count_consistent(t20, r20.ranking) == r20.value
 
     # Above n = 20 the DP keeps only its upper row layers (measured: 0.56x
-    # the table at n = 23, 0.50x at n = 24)
+    # the table at n = 23, 0.51x at n = 24)
     t23 = cayley_tournament(paley_set(make_field(23, 1)))
     r23, elapsed, peak = _timed_peak(exact_max_consistent, t23)
     assert elapsed < 900.0, f"n=23 took {elapsed:.2f}s"
