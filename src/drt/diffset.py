@@ -26,6 +26,7 @@ from .groups import (
     is_prime,
     nonzero_squares,
     parse_group_spec,
+    _decimal,
 )
 from .verdict import Verdict
 
@@ -295,7 +296,7 @@ def parse_diffset(text: str) -> CandidateSet:
     if len(lines) > 1 and lines[1].strip():
         for pos, token in enumerate(lines[1].split(), start=1):
             try:
-                idx = int(token)
+                idx = _decimal(token)
             except ValueError:
                 raise ValueError(
                     f"line 2, entry {pos}: {token!r} is not an integer"

@@ -25,7 +25,7 @@ from .rng import trit_block
 from .tourney import Tournament, _signed, mask_vertices, vertex_mask
 
 SWEEP_CAP = 16
-_SWEEP_SLICE_PAIRS = 1 << 16  # pairs per sweep matmul; bounds its temporaries
+_SWEEP_SLICE_PAIRS = 1 << 17  # pairs per sweep slice; bounds its temporaries
 SAMPLE_CAP = 900  # keeps the int64 cross-multiplied fraction compares exact
 # A sampled chunk holds _SAMPLE_CHUNK_TRITS // min(n, 256) rows (one at least),
 # so its buffers hold at most this many trits up to n = 256 and 256 rows above.
@@ -106,26 +106,13 @@ def exhaustive_mixing_check(t: Tournament) -> MixingReport:
     That is 3^n - 2^(n+1) + 1 ordered pairs; n is capped at SWEEP_CAP because
     of it.
 
-    The pairs are batched subset sums.  col[A][j] = sum over i in A of
-    sign(i -> j) is filled for every A by doubling, one numpy op per vertex.
+    The pairs are batched subset sums, all in int8.  col[A][j] = sum over i
+    in A of sign(i -> j) is filled for every A by doubling (`_subset_sums`).
     The sets A with c vertices outside them form one batch, in ascending
-    order.  Each A's col entries at its c complement positions (ascending),
-    times the (c, 2^c - 1) indicator matrix of the nonempty subsets g of
-    those positions, give d(A, B) = e(A,B) - e(B,A) for every B inside the
-    complement in one matmul, column g holding the B made of the positions
-    in g.  The matmul is float32 and exact in any summation order: float32
-    holds every integer below 2^24, and every partial sum is an integer of
-    size at most (n - 1) * n, which is 240 at SWEEP_CAP.  The subset
-    indices g < 2^15 are uint16.  Ascending positions make g -> B preserve
-    order, so the smallest row and column of a tie are its smallest (A, B).
-
-    A batch is cut into slices of about _SWEEP_SLICE_PAIRS pairs.  In a
-    slice den = n |A| |B| depends on the column alone, and for integer d,
-    d_+^2 > den iff d > isqrt(den), which counts the violations.  The column
-    maxima of d go to `_rows_at_max` for the columns at the slice's exact
-    maximum of d_+^2 / den; in those columns the first row attaining it has
-    the smallest A, and the first such column the smallest B.  That pair
-    meets the running best as in `sampled_mixing_check`.
+    order, and `_sweep_batch` checks every B inside each A's complement.
+    Column g of a batch holds the B made of the complement positions (taken
+    ascending) at the set bits of g, so g -> B preserves order and the
+    smallest row and column of a tie are its smallest (A, B).
     """
     n = t.n
     if n > SWEEP_CAP:
@@ -133,41 +120,95 @@ def exhaustive_mixing_check(t: Tournament) -> MixingReport:
             f"exhaustive sweep capped at n = {SWEEP_CAP} (3^n assignments),"
             f" got n = {n}; use sampled_mixing_check instead"
         )
-    signed = _signed(t)
-    col = np.zeros((1 << n, n), dtype=np.int8)  # |col| <= n - 1 <= 15
-    for v in range(n):
-        col[1 << v : 2 << v] = col[: 1 << v] + signed[v]
-    masks = np.arange(1 << n)
+    col = _subset_sums(_signed(t))  # |col| <= n - 1 <= 15
+    masks = np.arange(1 << n, dtype=np.uint16)
     sizes = np.bitwise_count(masks)
     pairs = violations = 0
     best: _Best = (0, 1, None)
     for c in range(1, n):
-        a_masks = masks[sizes == n - c]
-        outside = ((a_masks[:, None] >> np.arange(n)) & 1) == 0
-        comp = (np.flatnonzero(outside) % n).reshape(-1, c)
-        gathered = col[a_masks[:, None], comp].astype(np.float32)
-        g = np.arange(1, 1 << c, dtype=np.uint16)
-        subsets = ((g >> np.arange(c, dtype=np.uint16)[:, None]) & 1).astype(np.float32)
-        b_sizes = np.bitwise_count(g)
-        den = n * (n - c) * b_sizes.astype(np.int64)
-        roots = [math.isqrt(n * (n - c) * k) for k in range(c + 1)]
-        # float32 like d, so that `d > threshold` makes no float64 copy of d
-        threshold = np.array(roots, dtype=np.float32)[b_sizes]
-        pairs += a_masks.size * g.size
-        rows = max(1, _SWEEP_SLICE_PAIRS // g.size)
-        for lo in range(0, a_masks.size, rows):
-            d = gathered[lo : lo + rows] @ subsets
-            violations += int(np.count_nonzero(d > threshold))
-            top = np.maximum(d.max(axis=0), 0)
-            num = (top * top).astype(np.int64)
-            cols = _rows_at_max(num, den)
-            # At a maximum of 0 every d <= 0 attains it, hence the clamp.
-            first = (np.maximum(d[:, cols], 0) == top[cols]).argmax(axis=0)
-            k = int(np.argmin(first))
-            r, j = lo + int(first[k]), int(cols[k])
-            pair = (int(a_masks[r]), vertex_mask(comp[r, subsets[:, j] > 0].tolist()))
-            best = _fold_best(best, int(num[j]), int(den[j]), pair)
+        batch_violations, best = _sweep_batch(col, masks, sizes, c, best)
+        pairs += math.comb(n, c) * ((1 << c) - 1)
+        violations += batch_violations
     return MixingReport("exhaustive", pairs, violations, *best)
+
+
+def _subset_sums(x: np.ndarray) -> np.ndarray:
+    """Row g holds the sum of the rows of x at the set bits of g, filled by
+    doubling: one numpy op per row of x, each over a contiguous block."""
+    out = np.empty((1 << len(x),) + x.shape[1:], dtype=x.dtype)
+    out[0] = 0
+    for i, row in enumerate(x):
+        np.add(out[: 1 << i], row, out=out[1 << i : 2 << i])
+    return out
+
+
+def _sweep_batch(
+    col: np.ndarray, masks: np.ndarray, sizes: np.ndarray, c: int, best: _Best
+) -> tuple[int, _Best]:
+    """Violations among the pairs (A, B) with c vertices outside A and B
+    inside A's complement, and the running best after it meets them.
+
+    `masks` and `sizes` hold every vertex mask and its popcount.  An A's
+    col entries at its c complement positions split into the first c // 2
+    and the rest, and the subset sums of each part (`_subset_sums`) form a
+    half table, so d(A, B) = e(A,B) - e(B,A) at column
+    g = g_hi * 2^(c // 2) + g_lo is high[g_hi] + low[g_lo]: their outer sum,
+    with column 0 (B empty) dropped.  A col entry is at most |A| in size,
+    so every table entry and every d is at most |A| c <= floor(n/2)
+    ceil(n/2), which is 64 at SWEEP_CAP: int8 holds them all, and no float
+    or matrix product is involved.
+
+    The batch is cut into slices of about _SWEEP_SLICE_PAIRS pairs.  In a
+    slice den = n |A| |B| depends on the column alone, and for integer d,
+    d_+^2 > den iff d > isqrt(den), which counts the violations.  As n |A|
+    is fixed in the batch, d_+^2 / den is largest in the columns where the
+    integer d_+^2 * (lcm(1..c) / |B|) is; in those the first row attaining
+    the column maximum has the smallest A, and the first such column the
+    smallest B.  That pair meets the running best as in
+    `sampled_mixing_check`, unless the slice's maximum is already below it.
+    """
+    n = col.shape[1]
+    a_masks = masks[sizes == n - c]
+    b_sizes = sizes[1 : 1 << c]  # |B| of columns 1 .. 2^c - 1
+    # Row i: each A's col entry at its i-th complement position, ascending.
+    bits = np.uint16(1) << np.arange(n, dtype=np.uint16)
+    outside = (a_masks[:, None] & bits) == 0
+    rows = np.take(col, a_masks, axis=0)
+    gathered = np.compress(outside.ravel(), rows.ravel()).reshape(-1, c).T.copy()
+    del outside, rows
+    half = c // 2
+    low = _subset_sums(gathered[:half]).T.copy()
+    high = _subset_sums(gathered[half:]).T.copy()
+    del gathered
+    roots = [math.isqrt(n * (n - c) * k) for k in range(c + 1)]
+    threshold = np.array(roots, dtype=np.int8)[b_sizes]
+    weight = math.lcm(*range(1, c + 1)) // b_sizes.astype(np.int64)
+    violations = 0
+    step = max(1, _SWEEP_SLICE_PAIRS // b_sizes.size)
+    for lo in range(0, a_masks.size, step):
+        d = np.repeat(high[lo : lo + step], 1 << half, axis=1)
+        d += np.repeat(
+            low[lo : lo + step, None], 1 << (c - half), axis=1
+        ).reshape(d.shape)
+        d = d[:, 1:]
+        violations += int(np.count_nonzero(d > threshold))
+        top = d.max(axis=0)
+        np.maximum(top, 0, out=top)  # at a maximum of 0 every d <= 0 attains it
+        key = top.astype(np.int64)
+        key *= key
+        key *= weight
+        cols = np.flatnonzero(key == key.max())
+        num, den = int(top[cols[0]]) ** 2, n * (n - c) * int(b_sizes[cols[0]])
+        if best[2] is not None and num * best[1] < best[0] * den:
+            continue  # no pair of this slice can become the worst pair
+        first = (np.maximum(d[:, cols], 0) == top[cols]).argmax(axis=0)
+        k = int(np.argmin(first))
+        a, g = int(a_masks[lo + int(first[k])]), int(cols[k]) + 1
+        comp = [v for v in range(n) if not (a >> v) & 1]
+        b = vertex_mask(comp[i] for i in range(c) if (g >> i) & 1)
+        num, den = int(top[g - 1]) ** 2, n * (n - c) * int(b_sizes[g - 1])
+        best = _fold_best(best, num, den, (a, b))
+    return violations, best
 
 
 def _fold_best(best: _Best, num: int, den: int, pair: tuple[int, int]) -> _Best:
@@ -214,7 +255,7 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
     allocated once per call at the first chunk's size and every chunk writes
     into them, so a chunk allocates only its few per-row vectors and the
     rng's 128 KiB sub-block buffers.  d is exact in float32, as its partial
-    sums stay within n^2/4 < 2^24.
+    sums stay within n^2/4 (`tourney._F32_EXACT`).
 
     The worst pair is found per chunk without a loop over rows.  The ratio
     d_+^2 / (n |A| |B|) is formed in float64: numerator and denominator are
@@ -236,10 +277,10 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
         raise ValueError(f"sampled check supports n <= {SAMPLE_CAP}, got {n}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    # Every partial sum of d is an integer of size at most |A||B| <= n^2/4 <
-    # 2^24, so the float32 matmul and row dot (far faster than int64, which
-    # has no BLAS path) are exact in any summation order.  Column n is all
-    # ones, so the one matmul also gives |A|.
+    # Every partial sum of d is an integer of size at most |A||B| <= n^2/4,
+    # so the float32 matmul and row dot (far faster than int64, which has no
+    # BLAS path) are exact (`tourney._F32_EXACT`).  Column n is all ones, so
+    # the one matmul also gives |A|.
     signed = np.ones((n, n + 1), dtype=np.float32)
     signed[:, :n] = _signed(t)
     # Above n = 256 a chunk keeps 256 rows: with fewer, the matmul that

@@ -118,7 +118,20 @@ def _check_order(modulus: int, power: int, what: str, order: int = 1) -> int:
     return order
 
 
-_SPEC_FACTOR = re.compile(r"\AZ(\d+)(?:\^(\d+))?\Z", re.IGNORECASE)
+# [0-9], not \d: \d also matches non-ASCII digits such as '٧', which int() reads.
+_SPEC_FACTOR = re.compile(r"\AZ([0-9]+)(?:\^([0-9]+))?\Z", re.IGNORECASE)
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(text: str) -> int:
+    """The integer spelled by an optional '-' and ASCII digits.
+
+    Anything else raises ValueError, including what int() would take: a '+',
+    '_' separators, surrounding whitespace and non-ASCII digits.
+    """
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
 
 
 def parse_group_spec(spec: str) -> tuple[int, ...]:

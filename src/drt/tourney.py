@@ -5,7 +5,8 @@ exactly when the edge i -> j is present.  `_pack` (0/1 matrix to rows) and
 `_signed` (rows to S = M - M^T, decoded once as int8) are the only converters;
 every numeric check and kernel reads that S, and `signed_adjacency` and
 `adjacency_matrix` widen it to int64 for callers.  All verification is exact:
-matrix products run in float64 on integers of size at most n <= ORDER_CAP.
+the one matrix product, S S^T, runs in float32 on integers of size at most
+n <= ORDER_CAP (see `_F32_EXACT`).
 
 The Gram certificate is one identity, S S^T = n I - J (Reid & Brown 1972: it
 holds iff T is doubly regular).  It forces S 1 = 0, since |S^T 1|^2 =
@@ -24,9 +25,17 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .diffset import CandidateSet, is_skew
-from .groups import ORDER_CAP
+from .groups import ORDER_CAP, _decimal
 from .rng import coin_block
 from .verdict import Verdict
+
+# float32 has a 24-bit significand, so it holds every integer of size at most
+# 2^24 exactly.  A float32 matrix product whose every entry and partial sum is
+# such an integer is therefore exact in any summation order, as BLAS may add
+# the terms in any order.  `Tournament._gram_defect` (partial sums at most
+# n <= ORDER_CAP = 2^16) and `discrepancy.sampled_mixing_check` (at most
+# n^2/4 at n <= SAMPLE_CAP) rest on this.
+_F32_EXACT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -69,9 +78,10 @@ class Tournament:
         out-degree is (n-1)/2, 4 M M^T = S S^T + I + (n-2) J (module
         docstring), so x < y have (S S^T[x, y] + n - 2) / 4 common
         out-neighbors, and (i, j) is also the first pair whose count is not
-        (n-3)/4.
+        (n-3)/4.  Each entry of S S^T sums n terms of size at most 1, so
+        the float32 product is exact (`_F32_EXACT`).
         """
-        s = _signed(self).astype(np.float64)
+        s = _signed(self).astype(np.float32)
         got = s @ s.T
         bad = got != -1
         bad.flat[:: self.n + 1] = False
@@ -242,7 +252,7 @@ def parse_tournament(text: str) -> Tournament:
     if not lines:
         raise ValueError("line 1: missing vertex count")
     try:
-        n = int(lines[0].strip())
+        n = _decimal(lines[0].strip())
     except ValueError:
         raise ValueError(f"line 1: {lines[0]!r} is not an integer") from None
     if n < 1:

@@ -170,6 +170,16 @@ def test_parse_error_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
+def test_non_ascii_group_spec_exits_2(tmp_path, capsys):
+    # \d and int() read Z\u0667 as Z7, which used to verify and exit 0.
+    path = tmp_path / "z7.txt"
+    path.write_text("Z\u0667\n1 2 4\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["diffset", "verify", str(path)])
+    assert exc.value.code == 2
+    assert "line 1: bad group spec token" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["rank", "exact", "no/such/file.txt"])

@@ -588,3 +588,11 @@ def test_format_parse_round_trip_z3_cubed():
 def test_parse_errors_carry_positions(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         parse_diffset(text)
+
+
+@pytest.mark.parametrize("token", ["+2", "0_2", "\u0662", "\uff12"])
+def test_parse_diffset_indices_are_ascii_digits(token):
+    # int() reads each of these as 2.
+    with pytest.raises(ValueError) as e:
+        parse_diffset(f"Z7\n1 {token} 4\n")
+    assert str(e.value) == f"line 2, entry 2: {token!r} is not an integer"

@@ -26,11 +26,13 @@ from drt.discrepancy import (
     vertex_mask,
 )
 from drt.diffset import paley_set
-from drt.groups import make_field
+from drt.groups import ORDER_CAP, make_field
 from drt.ranking import exact_max_consistent
 from drt.rng import trit_block
 from drt.tourney import (
+    _F32_EXACT,
     Tournament,
+    _signed,
     cayley_tournament,
     random_tournament,
     signed_adjacency,
@@ -262,16 +264,17 @@ def test_sweep_frozen_at_cap():
         "exhaustive", 3**16 - 2**17 + 1, 50, 324, 288, (7714, 8576)
     )
     assert r.pairs_checked == 42_915_650
-    # measured: about 12 MiB
-    assert peak <= 64 * 2**20, f"n=16 sweep peaked at {peak} bytes"
+    # measured: 2.49 MiB
+    assert peak <= 2.75 * 2**20, f"n=16 sweep peaked at {peak} bytes"
 
 
-def test_sweep_peak_is_float32():
-    # measured 1.45 and 5.96 MiB; the float64 sweep peaked at 2.90 and 12.1 MiB
+def test_sweep_peak_is_int8_half_tables():
+    # measured 0.64 and 2.49 MiB; the float32 matmul sweep peaked at 1.45 and
+    # 5.96 MiB, the float64 one at 2.90 and 12.1 MiB
     _, peak = _traced(exhaustive_mixing_check, random_tournament(14, 0))
-    assert peak <= 1.6 * 2**20, f"n=14 sweep peaked at {peak} bytes"
+    assert peak <= 0.70 * 2**20, f"n=14 sweep peaked at {peak} bytes"
     _, peak = _traced(exhaustive_mixing_check, random_tournament(16, 16))
-    assert peak <= 6.0 * 2**20, f"n=16 sweep peaked at {peak} bytes"  # README
+    assert peak <= 2.75 * 2**20, f"n=16 sweep peaked at {peak} bytes"  # README
 
 
 def _transitive_tally(n: int) -> tuple[int, int, int, int]:
@@ -330,7 +333,7 @@ def test_transitive_tally_matches_check_mixing_pair_by_pair():
 
 def test_sweep_exact_where_d_is_largest():
     # The transitive tournament has the largest |d| of any at each (|A|, |B|),
-    # d = |A| |B| up to 64, and col entries up to 15: the float32 sums at their
+    # d = |A| |B| up to 64, and col entries up to 15: the int8 sums at their
     # largest.  Its every pair's d is tallied exactly by the DP above.
     t = transitive(SWEEP_CAP)
     r = exhaustive_mixing_check(t)
@@ -487,8 +490,22 @@ def test_sampled_peak_is_a_few_buffers(p, k):
 
 
 def test_sample_cap_keeps_float32_exact():
-    # Partial sums of d reach |A||B| <= n^2/4; float32 holds integers below 2^24.
-    assert SAMPLE_CAP**2 // 4 < 2**24
+    # Partial sums of d reach |A||B| <= n^2/4.
+    assert SAMPLE_CAP**2 // 4 <= _F32_EXACT
+
+
+def test_order_cap_keeps_gram_float32_exact():
+    # Entries and partial sums of S S^T are at most n <= ORDER_CAP.
+    assert ORDER_CAP <= _F32_EXACT
+    assert np.float32(_F32_EXACT) - 1 == _F32_EXACT - 1  # exact up to 2^24
+    assert np.float32(_F32_EXACT + 1) == _F32_EXACT  # and no further
+
+
+def test_sweep_cap_keeps_int8_exact():
+    # d and every partial sum of the sweep reach |A||B| <= floor(n/2) ceil(n/2)
+    # (test_sweep_exact_where_d_is_largest runs that extreme).
+    largest = (SWEEP_CAP // 2) * -(-SWEEP_CAP // 2)
+    assert largest <= np.iinfo(_signed(transitive(SWEEP_CAP)).dtype).max
 
 
 @pytest.mark.parametrize("n,samples", [(2, 1), (2, 5000), (7, 300), (27, 40000)])

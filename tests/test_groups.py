@@ -111,6 +111,13 @@ def test_parse_group_spec_rejects(bad):
         parse_group_spec(bad)
 
 
+@pytest.mark.parametrize("spec", ["Z\u0667", "Z\uff17", "Z3^\u0663", "Z2xZ\u0663"])
+def test_parse_group_spec_takes_ascii_digits_only(spec):
+    # \d and int() both read these non-ASCII digits as 7 or 3.
+    with pytest.raises(ValueError, match="^bad group spec token "):
+        parse_group_spec(spec)
+
+
 def test_orders_above_the_cap_are_refused_before_building():
     assert ORDER_CAP == 2**16
     assert parse_group_spec("Z2^16") == (2,) * 16

@@ -463,6 +463,15 @@ def test_parse_tournament_errors(text, fragment):
         parse_tournament(text)
 
 
+@pytest.mark.parametrize("count", ["+2", "0_2", "\u0662", "\uff12"])
+def test_parse_tournament_count_is_ascii_digits(count):
+    # int() reads each of these as 2, and the two rows below would then parse.
+    with pytest.raises(ValueError) as e:
+        parse_tournament(f"{count}\n01\n00\n")
+    assert str(e.value) == f"line 1: {count!r} is not an integer"
+    assert parse_tournament(" 2 \n01\n00\n").rows == (0b10, 0b00)
+
+
 # ------------------------------------------------- reference bit-row loops
 # Per-pair and per-bit loops that read the bit rows directly and share no
 # code with the module.
