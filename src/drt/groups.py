@@ -120,7 +120,6 @@ def _check_order(modulus: int, power: int, what: str, order: int = 1) -> int:
 
 # [0-9], not \d: \d also matches non-ASCII digits such as '٧', which int() reads.
 _SPEC_FACTOR = re.compile(r"\AZ([0-9]+)(?:\^([0-9]+))?\Z", re.IGNORECASE)
-_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def _decimal(text: str) -> int:
@@ -129,7 +128,8 @@ def _decimal(text: str) -> int:
     Anything else raises ValueError, including what int() would take: a '+',
     '_' separators, surrounding whitespace and non-ASCII digits.
     """
-    if not _DECIMAL.fullmatch(text):
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{text!r} is not an integer")
     return int(text)
 
