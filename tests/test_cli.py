@@ -171,7 +171,7 @@ def test_parse_error_exits_2(tmp_path):
 
 
 def test_non_ascii_group_spec_exits_2(tmp_path, capsys):
-    # \d and int() read Z\u0667 as Z7, which used to verify and exit 0.
+    # \d and int() both read Z\u0667 as Z7, a group that would verify.
     path = tmp_path / "z7.txt"
     path.write_text("Z\u0667\n1 2 4\n", encoding="utf-8")
     with pytest.raises(SystemExit) as exc:

@@ -269,8 +269,7 @@ def test_sweep_frozen_at_cap():
 
 
 def test_sweep_peak_is_int8_half_tables():
-    # measured 0.64 and 2.49 MiB; the float32 matmul sweep peaked at 1.45 and
-    # 5.96 MiB, the float64 one at 2.90 and 12.1 MiB
+    # measured 0.64 and 2.49 MiB
     _, peak = _traced(exhaustive_mixing_check, random_tournament(14, 0))
     assert peak <= 0.70 * 2**20, f"n=14 sweep peaked at {peak} bytes"
     _, peak = _traced(exhaustive_mixing_check, random_tournament(16, 16))
