@@ -43,7 +43,7 @@ from .discrepancy import (
     mask_vertices,
     sampled_mixing_check,
 )
-from .groups import format_group_spec, make_field
+from .groups import _decimal, format_group_spec, make_field
 from .ranking import (
     DP_CAP,
     RankingResult,
@@ -354,6 +354,13 @@ def cmd_pipeline_paley(args, inputs: dict[str, str]) -> Outcome:
 # ---------------------------------------------------------------- parser
 
 
+def integer(text: str) -> int:
+    """The argparse type of every integer option: an optional '-' and ASCII
+    digits, as the file parsers read them.  Anything else ('+7', '1_0', a
+    non-ASCII digit) is a usage error, exit 2."""
+    return _decimal(text)
+
+
 def _add_pretty(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--pretty", action="store_true", help="render the report as aligned text"
@@ -374,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     diffset = sub.add_parser("diffset", help="difference-set construction and checks")
     dsub = diffset.add_subparsers(dest="subcommand", required=True)
     p = dsub.add_parser("paley", help="emit the Paley set of F_{p^k} as a diffset file")
-    p.add_argument("--p", type=int, required=True, help="prime characteristic")
-    p.add_argument("--k", type=int, default=1, help="extension degree (default 1)")
+    p.add_argument("--p", type=integer, required=True, help="prime characteristic")
+    p.add_argument("--k", type=integer, default=1, help="extension degree (default 1)")
     p.add_argument("-o", "--output", help="write here instead of stdout")
     p.set_defaults(func=cmd_diffset_paley)
     p = dsub.add_parser("verify", help="full skew-difference-set check")
@@ -398,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pretty(p)
     p.set_defaults(func=cmd_tourney_verify)
     p = tsub.add_parser("random", help="seeded uniform random tournament")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_tourney_random)
 
@@ -417,9 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pretty(p)
     p.set_defaults(func=cmd_rank_heuristic)
     p = rsub.add_parser("baseline", help="exact optima of seeded random tournaments")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--trials", type=integer, default=100)
+    p.add_argument("--seed", type=integer, default=0)
     _add_pretty(p)
     p.set_defaults(func=cmd_rank_baseline)
 
@@ -431,13 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_discrepancy_sweep)
     p = csub.add_parser("sample", help="seeded random assignments")
     p.add_argument("file", help="tournament file")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=integer, default=100_000)
+    p.add_argument("--seed", type=integer, default=0)
     _add_pretty(p)
     p.set_defaults(func=cmd_discrepancy_sample)
     p = csub.add_parser("bounds", help="ranking-gap and maximum-consistency bounds")
     p.add_argument("file", help="tournament file")
-    p.add_argument("--c-value", type=int, default=None,
+    p.add_argument("--c-value", type=integer, default=None,
                    help="use this C(T) value (or lower bound) instead of computing one")
     _add_pretty(p)
     p.set_defaults(func=cmd_discrepancy_bounds)
@@ -445,13 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
     pipe = sub.add_parser("pipeline", help="end-to-end construction and verification")
     psub = pipe.add_subparsers(dest="subcommand", required=True)
     p = psub.add_parser("paley", help="Paley set -> Cayley tournament -> all checks")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--samples", type=int, default=PIPELINE_SAMPLES,
+    p.add_argument("--p", type=integer, required=True)
+    p.add_argument("--k", type=integer, default=1)
+    p.add_argument("--samples", type=integer, default=PIPELINE_SAMPLES,
                    help="sampled mixing checks above the sweep cap (default 20000)")
-    p.add_argument("--rank-cap", type=int, default=PIPELINE_RANK_CAP,
+    p.add_argument("--rank-cap", type=integer, default=PIPELINE_RANK_CAP,
                    help="largest n ranked exactly in the pipeline (default 20)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     _add_pretty(p)
     p.set_defaults(func=cmd_pipeline_paley)
     return parser

@@ -22,11 +22,13 @@ breaking ties toward the smallest vertex index.  When the high part of the
 set left reaches the cut, the at most cut + 8 vertices left, in ascending
 order, are ranked by an exact DP of their own, with the same tie-break and
 so the same ranks (Hirschberg's linear-space idea: keep what the backtrack
-needs and recompute the rest on a smaller instance).  Measured in-process
-on one core of a 2-vCPU VM (Python 3.11, numpy 2.4), median of 7 runs on a
-seeded random tournament: 12 ms at n = 20, 31 ms at n = 22, 57 ms at
-n = 23, 0.21 s at n = 24.  The tracemalloc peak of the whole call is 1.2x
-the 2^n table at n = 20 and 0.5-0.6x it at n = 22-24.
+needs and recompute the rest on a smaller instance).  The blocks are at most
+512 rows, so past the two largest layers alive at once the scratch stays
+within about 1.3 MiB at every n up to the cap.  Measured in-process on one
+core of a 2-vCPU VM (Python 3.11, numpy 2.4), median of 7 runs on a seeded
+random tournament: 24 ms at n = 20, 54 ms at n = 22, 0.10 s at n = 23,
+0.28 s at n = 24.  The tracemalloc peak of the whole call is 1.19x the 2^n
+table at n = 20, 0.54x at n = 22, 0.48x at n = 23 and 0.41x at n = 24.
 """
 
 from __future__ import annotations
@@ -124,6 +126,7 @@ def _check_dp_cap(n: int) -> None:
 
 
 _BLOCK_BITS = 8  # low vertices per table row: rows of 256 entries
+_BLOCK_ROWS = 512  # most rows filled at once at any n: bounds the scratch
 
 
 def _dp_cut(n: int) -> int:
@@ -148,12 +151,16 @@ def _dp_layers(rows, cut: int) -> tuple[list, np.ndarray]:
     high vertex both come from one gather of `gain_tab`.  Removing a high
     vertex leaves a row of layer k - 1, which is already final.  Removing a
     low vertex stays in the row, so inside a row the columns are swept by
-    their popcount.  A layer is filled max(2^(n-b) / 32, 2^(14-b)) rows at a
-    time, which keeps the scratch arrays a small fraction of the table.  The
-    low-vertex steps run on the transposed slice, one row per column l:
-    gathering columns of the slice would copy one element at a time, while
-    rows of its transpose copy whole and reduce over a long axis.  Layer
-    k - 1 is dropped once layer k is complete if k - 1 < cut.
+    their popcount.  A layer is filled in blocks of
+    min(max(2^(n-b) / 32, 2^(14-b)), _BLOCK_ROWS) rows: 64 up to n = 19, then
+    doubling to the budget of 512 rows at n = 22, where it stays: a block's
+    scratch does not grow with n, while the layers double per vertex.  Each
+    block is filled by a call of its own, which frees its temporaries before
+    the next block allocates.  The low-vertex steps run
+    on the transposed block, one row per column l: gathering columns of the
+    block would copy one element at a time, while rows of its transpose copy
+    whole and reduce over a long axis.  Layer k - 1 is dropped once layer k
+    is complete if k - 1 < cut.
     """
     n = len(rows)
     b = min(n, _BLOCK_BITS)
@@ -172,37 +179,48 @@ def _dp_layers(rows, cut: int) -> tuple[list, np.ndarray]:
         v = np.nonzero((tgt[:, None] >> np.arange(b)) & 1)[1].reshape(tgt.size, j)
         src = tgt[:, None] ^ (1 << v)
         low_steps.append((tgt, src, v, col_gain[v, src][:, :, None]))
-    # gain_tab[i, r]: the gains of taking high vertex b + i first, by column,
-    # in a row whose part of that gain is r.
+    # gain_tab[i * (n - b + 1) + r]: the gains of taking high vertex b + i
+    # first, by column, in a row whose part of that gain is r.
     gain_tab = col_gain[b:, None] + np.arange(n - b + 1, dtype=dtype)[:, None]
+    gain_tab = gain_tab.reshape(-1, width)
     row_pc = np.bitwise_count(np.arange(nrows, dtype=np.uint32))
-    pos = np.empty(nrows, dtype=np.intp)
-    height = max(nrows // 32, (1 << 14) >> b)
-    high_bits = np.arange(n - b, dtype=np.uint32)
+    pos = np.empty(nrows, dtype=np.int32)  # a layer has <= 12,870 rows at DP_CAP
+    height = min(max(nrows // 32, (1 << 14) >> b), _BLOCK_ROWS)
+
+    def fill(block: np.ndarray, hs: np.ndarray, k: int, prev) -> None:
+        """Fill `block`, the rows `hs` of layer k, from layer k - 1 `prev`.
+        Every index taken is in range, and mode="clip" spares the bounds
+        check and the copy of `out` that np.take makes in its default mode."""
+        cand, gains = np.empty_like(block), np.empty_like(block)
+        rest = hs.copy()
+        for _ in range(k):  # the high vertices of each row, lowest first
+            bit = rest & -rest
+            rest ^= bit
+            w = np.bitwise_count(bit - 1).astype(np.intp)
+            r = np.bitwise_count(hs & out_high[b + w])
+            np.take(prev, pos[hs ^ bit], axis=0, out=cand, mode="clip")
+            np.take(gain_tab, w * (n - b + 1) + r, axis=0, out=gains, mode="clip")
+            cand += gains
+            np.maximum(block, cand, out=block)
+        del cand, gains  # before the low-vertex steps allocate theirs
+        bt = np.ascontiguousarray(block.T)
+        row_gain = np.bitwise_count(out_high[:b, None] & hs)  # by low vertex
+        for tgt, src, v, gain in low_steps:
+            cand = np.take(bt, src, axis=0, mode="clip")
+            cand += gain
+            cand += np.take(row_gain, v, axis=0, mode="clip")
+            bt[tgt] = np.maximum(bt[tgt], cand.max(axis=1))
+            del cand  # before the next popcount gathers its own
+        block[...] = bt.T
+
     layers: list = []
     for k in range(n - b + 1):
         members = np.flatnonzero(row_pc == k).astype(np.uint32)
-        pos[members] = np.arange(members.size)
+        pos[members] = np.arange(members.size, dtype=np.int32)
         layer = np.zeros((members.size, width), dtype=dtype)
         for lo in range(0, members.size, height):
             hs = members[lo : lo + height]
-            block = layer[lo : lo + hs.size]
-            row_gain = np.bitwise_count(hs[:, None] & out_high).astype(dtype)
-            # The k high vertices of each row, lowest first.
-            high = np.nonzero((hs[:, None] >> high_bits) & 1)[1].reshape(hs.size, k)
-            for i in range(k):
-                w = high[:, i]
-                cand = layers[k - 1][pos[hs ^ (1 << w)]]
-                cand += gain_tab[w, row_gain[np.arange(hs.size), w + b]]
-                np.maximum(block, cand, out=block)
-            bt = np.ascontiguousarray(block.T)
-            gt = np.ascontiguousarray(row_gain[:, :b].T)
-            for tgt, src, v, gain in low_steps:
-                cand = bt[src]
-                cand += gain
-                cand += gt[v]
-                bt[tgt] = np.maximum(bt[tgt], cand.max(axis=1))
-            block[...] = bt.T
+            fill(layer[lo : lo + hs.size], hs, k, layers[k - 1] if k else None)
         layers.append(layer)
         if 0 < k <= cut:
             layers[k - 1] = None

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import ast
 import gc
 import hashlib
@@ -190,6 +191,57 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["rank", "psychic"])
     assert exc.value.code == 2
+
+
+def _typed_options(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
+    """(argv, action) for every option of `parser` and its subparsers that
+    converts its value: argv names the subcommand and fills its positionals
+    and required options with valid values, so only the option tried fails."""
+    argv = list(path)
+    typed = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _typed_options(sub, (*path, name))
+        elif not action.option_strings:
+            argv.append("x")
+        elif action.required:
+            argv += [action.option_strings[-1], "7"]
+        if action.type is not None:
+            typed.append(action)
+    for action in typed:
+        yield argv, action
+
+
+TYPED_OPTIONS = list(_typed_options(cli.build_parser()))
+INTEGER_OPTIONS = [(argv, action.option_strings[-1]) for argv, action in TYPED_OPTIONS]
+
+
+def test_every_typed_option_is_an_ascii_integer():
+    # A new option with type=int would be collected here and fail.
+    assert all(action.type is cli.integer for _, action in TYPED_OPTIONS)
+    assert {option for _, option in INTEGER_OPTIONS} == {
+        "--p", "--k", "--n", "--seed", "--samples", "--trials", "--c-value",
+        "--rank-cap",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, option", INTEGER_OPTIONS,
+    ids=[f"{' '.join(argv[:2])} {option}" for argv, option in INTEGER_OPTIONS],
+)
+def test_integer_options_take_ascii_decimals_only(capsys, argv, option):
+    # int() would read all three as 7 or 10.
+    for bad in ("+7", "1_0", "٧"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, bad])
+        assert exc.value.code == 2, bad
+        err = capsys.readouterr().err
+        assert f"argument {option}: invalid integer value: {bad!r}" in err
+        assert "Traceback" not in err
+    dest = option.lstrip("-").replace("-", "_")
+    args = cli.build_parser().parse_args([*argv, option, "-3"])
+    assert getattr(args, dest) == -3
 
 
 def test_bad_inputs_exit_2_without_traceback(tmp_path):

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from drt import ranking
 from drt.diffset import paley_set
 from drt.groups import make_field
 from drt.ranking import (
@@ -223,6 +224,23 @@ def test_exact_matches_reference_loop(t):
     kept, _ = _dp_layers(t.rows, cut)
     for k, (layer, want) in enumerate(zip(kept, expected)):
         assert layer is None if k < cut else np.array_equal(layer, want)
+    assert exact_max_consistent(t) == result
+
+
+@pytest.mark.parametrize("budget", [1, 3])
+@pytest.mark.parametrize("t", [p for p in _dp_cases() if p.values[0].n <= 12])
+def test_block_budget_fills_every_layer(monkeypatch, t, budget):
+    # The real budget never splits a layer below n = 16: one-row blocks and a
+    # partial last block (4 = 3 + 1 rows at n = 12) only run here, also with
+    # the layers below the middle one dropped.
+    monkeypatch.setattr(ranking, "_BLOCK_ROWS", budget)
+    table, result = _exact_reference(t)
+    expected = _layers_of(table, t.n)
+    for cut in sorted({0, _dp_cut(t.n), max(t.n - 8, 0) // 2}):
+        kept, _ = _dp_layers(t.rows, cut)
+        assert len(kept) == len(expected)
+        for k, (layer, want) in enumerate(zip(kept, expected)):
+            assert layer is None if k < cut else np.array_equal(layer, want)
     assert exact_max_consistent(t) == result
 
 
