@@ -357,7 +357,8 @@ def cmd_pipeline_paley(args, inputs: dict[str, str]) -> Outcome:
 def integer(text: str) -> int:
     """The argparse type of every integer option: an optional '-' and ASCII
     digits, as the file parsers read them.  Anything else ('+7', '1_0', a
-    non-ASCII digit) is a usage error, exit 2."""
+    non-ASCII digit) is a usage error, exit 2, which argparse reports as an
+    "invalid integer value" after this function's name."""
     return _decimal(text)
 
 

@@ -26,8 +26,8 @@ needs and recompute the rest on a smaller instance).  The blocks are at most
 512 rows, so past the two largest layers alive at once the scratch stays
 within about 1.3 MiB at every n up to the cap.  Measured in-process on one
 core of a 2-vCPU VM (Python 3.11, numpy 2.4), median of 7 runs on a seeded
-random tournament: 24 ms at n = 20, 54 ms at n = 22, 0.10 s at n = 23,
-0.28 s at n = 24.  The tracemalloc peak of the whole call is 1.19x the 2^n
+random tournament: 22 ms at n = 20, 48 ms at n = 22, 91 ms at n = 23,
+0.27 s at n = 24.  The tracemalloc peak of the whole call is 1.19x the 2^n
 table at n = 20, 0.54x at n = 22, 0.48x at n = 23 and 0.41x at n = 24.
 """
 
@@ -156,11 +156,11 @@ def _dp_layers(rows, cut: int) -> tuple[list, np.ndarray]:
     doubling to the budget of 512 rows at n = 22, where it stays: a block's
     scratch does not grow with n, while the layers double per vertex.  Each
     block is filled by a call of its own, which frees its temporaries before
-    the next block allocates.  The low-vertex steps run
-    on the transposed block, one row per column l: gathering columns of the
-    block would copy one element at a time, while rows of its transpose copy
-    whole and reduce over a long axis.  Layer k - 1 is dropped once layer k
-    is complete if k - 1 < cut.
+    the next block allocates.  The low-vertex steps run on the transposed
+    block, one row per column l: gathering columns of the block would copy
+    one element at a time, while rows of its transpose copy whole and reduce
+    over a long axis.  Layer k - 1 is dropped once layer k is complete if
+    k - 1 < cut.
     """
     n = len(rows)
     b = min(n, _BLOCK_BITS)
