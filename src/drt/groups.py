@@ -42,6 +42,8 @@ class AbelianGroup:
             raise ValueError("group needs at least one cyclic factor")
         if any(m < 2 for m in self.moduli):
             raise ValueError(f"every modulus must be >= 2, got {self.moduli}")
+        if self.order > ORDER_CAP:
+            raise ValueError(f"group {self} has order above ORDER_CAP = {ORDER_CAP}")
 
     @cached_property
     def order(self) -> int:
@@ -245,15 +247,9 @@ class FiniteField:
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
-                    raw[i + j] = (raw[i + j] + ai * bj) % p
-        # fold x^d down through x^k = -(c_{k-1} x^{k-1} + ... + c0)
-        for deg in range(2 * k - 2, k - 1, -1):
-            c = raw[deg]
-            if c:
-                raw[deg] = 0
-                for off, m in enumerate(self.modulus):
-                    raw[deg - k + off] = (raw[deg - k + off] - c * m) % p
-        return tuple(raw[:k])
+                    raw[i + j] += ai * bj
+        low = _poly_mod(raw, [*self.modulus, 1], p)
+        return tuple(low) + (0,) * (k - len(low))
 
     def pow(self, a: Element, e: int) -> Element:
         if e < 0:

@@ -151,16 +151,14 @@ def _dp_layers(rows, cut: int) -> tuple[list, np.ndarray]:
     high vertex both come from one gather of `gain_tab`.  Removing a high
     vertex leaves a row of layer k - 1, which is already final.  Removing a
     low vertex stays in the row, so inside a row the columns are swept by
-    their popcount.  A layer is filled in blocks of
-    min(max(2^(n-b) / 32, 2^(14-b)), _BLOCK_ROWS) rows: 64 up to n = 19, then
-    doubling to the budget of 512 rows at n = 22, where it stays: a block's
-    scratch does not grow with n, while the layers double per vertex.  Each
-    block is filled by a call of its own, which frees its temporaries before
-    the next block allocates.  The low-vertex steps run on the transposed
-    block, one row per column l: gathering columns of the block would copy
-    one element at a time, while rows of its transpose copy whole and reduce
-    over a long axis.  Layer k - 1 is dropped once layer k is complete if
-    k - 1 < cut.
+    their popcount.  A layer is filled in blocks of _BLOCK_ROWS rows at every
+    n, so a block's scratch does not grow with n, while the layers double per
+    vertex; up to n = 19 every layer is a single block.  Each block is filled
+    by a call of its own, which frees its temporaries before the next block
+    allocates.  The low-vertex steps run on the transposed block, one row per
+    column l: gathering columns of the block would copy one element at a
+    time, while rows of its transpose copy whole and reduce over a long axis.
+    Layer k - 1 is dropped once layer k is complete if k - 1 < cut.
     """
     n = len(rows)
     b = min(n, _BLOCK_BITS)
@@ -185,7 +183,6 @@ def _dp_layers(rows, cut: int) -> tuple[list, np.ndarray]:
     gain_tab = gain_tab.reshape(-1, width)
     row_pc = np.bitwise_count(np.arange(nrows, dtype=np.uint32))
     pos = np.empty(nrows, dtype=np.int32)  # a layer has <= 12,870 rows at DP_CAP
-    height = min(max(nrows // 32, (1 << 14) >> b), _BLOCK_ROWS)
 
     def fill(block: np.ndarray, hs: np.ndarray, k: int, prev) -> None:
         """Fill `block`, the rows `hs` of layer k, from layer k - 1 `prev`.
@@ -218,8 +215,8 @@ def _dp_layers(rows, cut: int) -> tuple[list, np.ndarray]:
         members = np.flatnonzero(row_pc == k).astype(np.uint32)
         pos[members] = np.arange(members.size, dtype=np.int32)
         layer = np.zeros((members.size, width), dtype=dtype)
-        for lo in range(0, members.size, height):
-            hs = members[lo : lo + height]
+        for lo in range(0, members.size, _BLOCK_ROWS):
+            hs = members[lo : lo + _BLOCK_ROWS]
             fill(layer[lo : lo + hs.size], hs, k, layers[k - 1] if k else None)
         layers.append(layer)
         if 0 < k <= cut:

@@ -52,6 +52,8 @@ class Tournament:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need at least one vertex, got n = {self.n}")
+        if self.n > ORDER_CAP:  # before _signed decodes an n x n matrix
+            raise ValueError(f"n = {self.n} is above ORDER_CAP = {ORDER_CAP}")
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
         full = (1 << self.n) - 1

@@ -127,6 +127,12 @@ def test_orders_above_the_cap_are_refused_before_building():
     for p, k in [(2, 17), (3, 10**9), (65537, 1)]:
         with pytest.raises(ValueError, match="ORDER_CAP"):
             make_field(p, k)
+    # the groups themselves, so no Cayley build reaches an n x n matrix
+    assert make_group((2,) * 16).order == ORDER_CAP
+    with pytest.raises(ValueError, match="ORDER_CAP"):
+        AbelianGroup((65537,))
+    with pytest.raises(ValueError, match="ORDER_CAP"):
+        make_group((2,) * 17)
 
 
 def test_format_group_spec_round_trips():

@@ -379,6 +379,19 @@ def test_random_tournament_refuses_orders_above_the_cap():
         random_tournament(0, 0)
 
 
+def test_tournaments_above_the_cap_are_refused_before_decoding(monkeypatch):
+    # A lowered cap, so no test builds a 2^16-vertex matrix.
+    t8, t9 = random_tournament(8, 0), transitive(9)
+    text9 = format_tournament(t9)
+    monkeypatch.setattr(drt.tourney, "ORDER_CAP", 8)
+    assert Tournament(8, t8.rows) == t8
+    assert parse_tournament(format_tournament(t8)) == t8
+    with pytest.raises(ValueError, match="^n = 9 is above ORDER_CAP = 8$"):
+        Tournament(9, t9.rows)
+    with pytest.raises(ValueError, match="^n = 9 is above ORDER_CAP = 8$"):
+        parse_tournament(text9)
+
+
 def test_random_tournament_is_deterministic():
     a = random_tournament(9, 42)
     b = random_tournament(9, 42)
