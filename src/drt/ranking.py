@@ -22,13 +22,15 @@ breaking ties toward the smallest vertex index.  When the high part of the
 set left reaches the cut, the at most cut + 8 vertices left, in ascending
 order, are ranked by an exact DP of their own, with the same tie-break and
 so the same ranks (Hirschberg's linear-space idea: keep what the backtrack
-needs and recompute the rest on a smaller instance).  The blocks are at most
-512 rows, so past the two largest layers alive at once the scratch stays
-within about 1.3 MiB at every n up to the cap.  Measured in-process on one
-core of a 2-vCPU VM (Python 3.11, numpy 2.4), median of 7 runs on a seeded
-random tournament: 22 ms at n = 20, 48 ms at n = 22, 91 ms at n = 23,
-0.27 s at n = 24.  The tracemalloc peak of the whole call is 1.19x the 2^n
-table at n = 20, 0.54x at n = 22, 0.48x at n = 23 and 0.41x at n = 24.
+needs and recompute the rest on a smaller instance).  The blocks are 512
+rows at every n, so past what the DP must hold at once (the whole table up
+to n = 20, the two largest adjacent layers above) the scratch stays within
+about 1.3 MiB at every n up to the cap.  Measured in-process on one core of
+a 2-vCPU VM (Python 3.11, numpy 2.4), median of 21 runs (9 at n = 24) on a
+seeded random tournament: 8.8 ms at n = 20, 32 ms at n = 22, 61 ms at
+n = 23, 0.19 s at n = 24.  The tracemalloc peak of the whole call is 1.43x
+the 2^n table at n = 20, 0.54x at n = 22, 0.48x at n = 23 and 0.41x at
+n = 24.
 """
 
 from __future__ import annotations

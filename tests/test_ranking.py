@@ -230,7 +230,7 @@ def test_exact_matches_reference_loop(t):
 @pytest.mark.parametrize("budget", [1, 3])
 @pytest.mark.parametrize("t", [p for p in _dp_cases() if p.values[0].n <= 12])
 def test_block_budget_fills_every_layer(monkeypatch, t, budget):
-    # The real budget never splits a layer below n = 16: one-row blocks and a
+    # The real budget never splits a layer below n = 20: one-row blocks and a
     # partial last block (4 = 3 + 1 rows at n = 12) only run here, also with
     # the layers below the middle one dropped.
     monkeypatch.setattr(ranking, "_BLOCK_ROWS", budget)
