@@ -11,7 +11,9 @@ the files it reads and wraps the results in this envelope.
 the same inputs and seed (wall_time_ms is the one field outside that
 contract).  `--pretty` renders the same payload as aligned text.  Exit codes:
 0 all checks pass, 1 only a failed verdict or violation, 2 usage errors and
-every exception, as one `drt: error:` line.  Every run is single-threaded.
+every exception, as one `drt: error:` line.  `drt` starts no threads of its
+own; numpy's BLAS may use several for the float32 matrix products, whose
+results are the same in any summation order (see `tourney._F32_EXACT`).
 """
 
 from __future__ import annotations

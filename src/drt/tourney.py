@@ -62,10 +62,9 @@ class Tournament:
                 raise ValueError(f"row {i} has bits outside 0..{self.n - 1}")
             if (row >> i) & 1:
                 raise ValueError(f"vertex {i} has a self-loop")
-        # np.argwhere is row-major: the first bad pair (i, j), i < j
-        bad = np.argwhere(np.triu(_signed(self) == 0, 1))
-        if bad.size:
-            i, j = (int(v) for v in bad[0])
+        bad = _first_off_diagonal(_signed(self) == 0)
+        if bad is not None:
+            i, j = bad
             kind = "both ways" if self.has_edge(i, j) else "neither way"
             raise ValueError(f"pair ({i}, {j}) is oriented {kind}")
 
@@ -76,22 +75,18 @@ class Tournament:
         both read it, so one product decides both.
 
         Every diagonal entry of S S^T is n - 1, as n I - J asks, and S S^T
-        is symmetric, so that entry has i < j and should be -1.  Once every
-        out-degree is (n-1)/2, 4 M M^T = S S^T + I + (n-2) J (module
-        docstring), so x < y have (S S^T[x, y] + n - 2) / 4 common
-        out-neighbors, and (i, j) is also the first pair whose count is not
-        (n-3)/4.  Each entry of S S^T sums n terms of size at most 1, so
-        the float32 product is exact (`_F32_EXACT`).
+        is symmetric, so the entry should be -1.  Once every out-degree is
+        (n-1)/2, 4 M M^T = S S^T + I + (n-2) J (module docstring), so x < y
+        have (S S^T[x, y] + n - 2) / 4 common out-neighbors, and (i, j) is
+        also the first pair whose count is not (n-3)/4.  Each entry of
+        S S^T sums n terms of size at most 1, so the float32 product is
+        exact (`_F32_EXACT`).  S is dropped before the mask is built.
         """
         s = _signed(self).astype(np.float32)
         got = s @ s.T
-        bad = got != -1
-        bad.flat[:: self.n + 1] = False
-        k = int(bad.argmax())  # the first True, without listing every bad entry
-        if not bad.flat[k]:
-            return None
-        i, j = divmod(k, self.n)
-        return i, j, int(got[i, j])
+        del s
+        bad = _first_off_diagonal(got != -1)
+        return None if bad is None else (*bad, int(got[bad]))
 
     def has_edge(self, x: int, y: int) -> bool:
         return bool((self.rows[x] >> y) & 1)
@@ -109,6 +104,19 @@ def _signed(t: Tournament) -> np.ndarray:
     bits = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
     m = np.unpackbits(bits, axis=1, count=n, bitorder="little").view(np.int8)
     return m - m.T
+
+
+def _first_off_diagonal(mask: np.ndarray) -> Optional[tuple[int, int]]:
+    """The first row-major True off the diagonal of a symmetric n x n mask,
+    or None; the diagonal is cleared in place.
+
+    By symmetry that entry has i < j, so it is also the first True of the
+    strict upper triangle in row-major order, found by one argmax without
+    listing every True entry.
+    """
+    mask.flat[:: len(mask) + 1] = False
+    k = int(mask.argmax())
+    return divmod(k, len(mask)) if mask.flat[k] else None
 
 
 def _pack(bits: np.ndarray) -> tuple[int, ...]:
@@ -238,7 +246,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
         raise ValueError(f"n = {n} is above ORDER_CAP = {ORDER_CAP}")
     coins = coin_block(seed, 0, n * (n - 1) // 2)
     # a boolean mask selects the upper triangle in row-major pair order
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    upper = np.arange(n)[:, None] < np.arange(n)
     bits = np.zeros((n, n), dtype=np.uint8)
     bits[upper] = coins
     bits.T[upper] = 1 - coins

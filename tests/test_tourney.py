@@ -635,9 +635,10 @@ def test_paley_2187_scale():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * 2**20, f"cayley_tournament peaked at {peak / 2**20:.1f} MiB"
-    # S and S S^T are the only n x n float64 arrays of the one product that
-    # decides both verdicts
+    assert peak <= 8 * 2**20, f"cayley_tournament peaked at {peak / 2**20:.1f} MiB"
+    # S and S S^T are the only n x n float32 arrays of the one product that
+    # decides both verdicts, and S is freed before the defect mask is built;
+    # a float64 product, or the mask beside both operands, exceeds the bound
     tracemalloc.start()
     try:
         is_doubly_regular(fresh)
@@ -645,5 +646,27 @@ def test_paley_2187_scale():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    square = 8 * t.n**2
-    assert peak <= 2.5 * square, f"verdicts peaked at {peak / square:.2f}x 8n^2 bytes"
+    square = 4 * t.n**2
+    assert peak <= 2.2 * square, f"verdicts peaked at {peak / square:.2f}x 4n^2 bytes"
+
+
+def test_malformed_tournament_refused_in_quadratic_bytes():
+    """A refused n = 2,000 tournament names its first bad pair within
+    2.5 n^2 bytes: the check holds S and one n x n mask, and lists no pairs."""
+    n = 2000
+    zeros = (0,) * n
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            Tournament(n, zeros)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "pair (0, 1) is oriented neither way"
+    assert peak <= 2.5 * n**2, f"refusal peaked at {peak / n**2:.2f} n^2 bytes"
+    rows = list(random_tournament(n, 11).rows)
+    rows[n - 2] |= 1 << (n - 1)
+    rows[n - 1] |= 1 << (n - 2)
+    with pytest.raises(ValueError) as exc:
+        Tournament(n, tuple(rows))
+    assert str(exc.value) == f"pair ({n - 2}, {n - 1}) is oriented both ways"
