@@ -74,13 +74,14 @@ class Tournament:
         value, or None; `verify_gram_identities` and `is_doubly_regular`
         both read it, so one product decides both.
 
-        Every diagonal entry of S S^T is n - 1, as n I - J asks, and S S^T
-        is symmetric, so the entry should be -1.  Once every out-degree is
-        (n-1)/2, 4 M M^T = S S^T + I + (n-2) J (module docstring), so x < y
-        have (S S^T[x, y] + n - 2) / 4 common out-neighbors, and (i, j) is
-        also the first pair whose count is not (n-3)/4.  Each entry of
-        S S^T sums n terms of size at most 1, so the float32 product is
-        exact (`_F32_EXACT`).  S is dropped before the mask is built.
+        Every diagonal entry of S S^T is n - 1, as n I - J asks, so the
+        entries off the diagonal are scanned, each against -1.  Once every
+        out-degree is (n-1)/2, 4 M M^T = S S^T + I + (n-2) J (module
+        docstring), so x < y have (S S^T[x, y] + n - 2) / 4 common
+        out-neighbors, and (i, j) is also the first pair whose count is not
+        (n-3)/4.  Each entry of S S^T sums n terms of size at most 1, so
+        the float32 product is exact (`_F32_EXACT`).  S is dropped before
+        the mask is built, so the mask never sits beside both operands.
         """
         s = _signed(self).astype(np.float32)
         got = s @ s.T
@@ -107,12 +108,13 @@ def _signed(t: Tournament) -> np.ndarray:
 
 
 def _first_off_diagonal(mask: np.ndarray) -> Optional[tuple[int, int]]:
-    """The first row-major True off the diagonal of a symmetric n x n mask,
-    or None; the diagonal is cleared in place.
+    """The first row-major True (i, j) off the diagonal of a symmetric
+    n x n mask, or None; the diagonal is cleared in place.
 
-    By symmetry that entry has i < j, so it is also the first True of the
-    strict upper triangle in row-major order, found by one argmax without
-    listing every True entry.
+    S == 0 and S S^T are both symmetric.  In a symmetric mask (j, i) is True
+    with (i, j), and row min(i, j) comes first, so the entry found has
+    i < j: it is the first True of the strict upper triangle in row-major
+    order, found by one argmax without listing every True entry.
     """
     mask.flat[:: len(mask) + 1] = False
     k = int(mask.argmax())
