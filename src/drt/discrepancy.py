@@ -251,10 +251,11 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
     valid rows of the stream; each chunk draws only as many rows as samples
     remain, so no trit is drawn past the last row that can be used.  A chunk
     holds _SAMPLE_CHUNK_TRITS // min(n, 256) rows (one at least), and its
-    size cannot change a result.  The trit, indicator and product buffers are
+    size cannot change a result.  The indicator and product buffers are
     allocated once per call at the first chunk's size and every chunk writes
-    into them, so a chunk allocates only its few per-row vectors and the
-    rng's 128 KiB sub-block buffers.  d is exact in float32, as its partial
+    into them, so a chunk allocates only its trits (at most 64 KiB, below
+    glibc's mmap threshold), its few per-row vectors and the rng's 128 KiB
+    sub-block buffers.  d is exact in float32, as its partial
     sums stay within n^2/4 (`tourney._F32_EXACT`).
 
     The worst pair is found per chunk without a loop over rows.  The ratio
@@ -287,7 +288,6 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
     # dominates there runs slower (n = 900: 1.3 s at 72 rows, 1.0 s at 256).
     chunk_rows = max(1, _SAMPLE_CHUNK_TRITS // min(n, 256))
     size = min(chunk_rows, samples)
-    trit_buf = np.empty(size * n, dtype=np.uint8)
     ind_buf = np.empty((size, n), dtype=np.float32)
     m_buf = np.empty((size, n + 1), dtype=np.float32)
     collected = 0
@@ -300,8 +300,8 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
             raise RuntimeError("sampling failed to find enough valid assignments")
         rows = min(chunk_rows, samples - collected)
         # The tracer in perfbench wraps this module's `trit_block` binding.
-        trits = trit_block(seed, start * n, rows * n, out=trit_buf[: rows * n])
-        trits = trits.reshape(rows, n)
+        trits = None  # free the last chunk's draws before the next
+        trits = trit_block(seed, start * n, rows * n).reshape(rows, n)
         start += rows
         ind, m = ind_buf[:rows], m_buf[:rows]
         np.equal(trits, 1, out=ind)

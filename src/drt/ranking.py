@@ -1,17 +1,16 @@
 """Rankings that maximize consistent edges: exact DP and heuristics.
 
 A ranking assigns each vertex a rank 1..n (rank 1 first); an edge x -> y is
-consistent when x is ranked before y.  The exact optimum over all n! rankings
-comes from a subset dynamic program over the 2^n prefix sets:
+consistent when x is ranked before y.  The exact optimum C(T) over all n!
+rankings is binom(n, 2) minus the fewest arcs a ranking puts backwards, and
+those come from a subset dynamic program over the 2^n vertex sets:
 
-    best(S) = max over v in S of  best(S \\ {v})  +  |{u in S \\ {v} : v -> u}|
+    fas(S) = min over v in S of  fas(S \\ {v})  +  |{u in S \\ {v} : v -> u}|
 
-where S is the set of latest-ranked |S| vertices and v the first among them.
-best(S) is C(T[S]), the optimum of the sub-tournament on S, whichever end of
-S a step takes v from.
-The values take one byte per subset up to n = 23 and two at the hard cap
-24, where binom(24, 2) = 276.  They are filled in row layers (see
-`_dp_layers`): rows of 2^8 low-vertex subsets, one layer per popcount k of
+where v is ranked last in S, so its arcs to the rest of S point backwards,
+and C(T) = binom(n, 2) - fas(V).  The values take one byte per subset at
+every n up to the hard cap 24 (`_dp_layers` bounds them).  They are filled
+in row layers: rows of 2^8 low-vertex subsets, one layer per popcount k of
 their high vertices, a bounded slice of rows at a time, and the columns of
 each row by their own popcount.  Up to n = 20, where the whole table is at
 most 1 MiB, every layer is kept.  Above that a layer below the cut
@@ -25,12 +24,12 @@ so the same ranks (Hirschberg's linear-space idea: keep what the backtrack
 needs and recompute the rest on a smaller instance).  The blocks are 512
 rows at every n, so past what the DP must hold at once (the whole table up
 to n = 20, the two largest adjacent layers above) the scratch stays within
-about 1.3 MiB at every n up to the cap.  Measured in-process on one core of
+about 0.9 MiB at every n up to the cap.  Measured in-process on one core of
 a 2-vCPU VM (Python 3.11, numpy 2.4), median of 21 runs (9 at n = 24) on a
-seeded random tournament: 8.8 ms at n = 20, 32 ms at n = 22, 61 ms at
-n = 23, 0.19 s at n = 24.  The tracemalloc peak of the whole call is 1.43x
-the 2^n table at n = 20, 0.54x at n = 22, 0.48x at n = 23 and 0.41x at
-n = 24.
+seeded random tournament: 9 ms at n = 20, 33 ms at n = 22, 70 ms at
+n = 23, 0.14 s at n = 24.  The tracemalloc peak of the whole call is
+1.43x the 2^n-byte table at n = 20, 0.54x at n = 22, 0.48x at n = 23 and
+0.43x at n = 24.
 """
 
 from __future__ import annotations
@@ -107,15 +106,10 @@ def reverse_ranking(ranking) -> tuple[int, ...]:
     return tuple(n - r + 1 for r in ranking)
 
 
-def _dp_dtype(n: int) -> type:
-    """Narrowest type holding binom(n, 2): uint8 to n = 23 (253), then uint16."""
-    return np.uint8 if n * (n - 1) // 2 <= 0xFF else np.uint16
-
-
 def dp_table_nbytes(n: int) -> int:
-    """Bytes in the whole DP value table at size n: 2^n entries of
-    `_dp_dtype(n)`.  The DP holds all of it at once only up to n = 20."""
-    return np.dtype(_dp_dtype(n)).itemsize << n
+    """Bytes in the whole DP value table at size n: 2^n entries of one byte.
+    The DP holds all of it at once only up to n = 20."""
+    return 1 << n
 
 
 def _check_dp_cap(n: int) -> None:
@@ -138,37 +132,41 @@ def _dp_cut(n: int) -> int:
 
 
 def _dp_layers(rows, cut: int) -> tuple[list, np.ndarray]:
-    """best[S] for the subsets S of the tournament with out-neighbour masks
-    `rows`, in row layers: the entry of S is layers[k][pos[h], l], where the
-    bits of h are its k high vertices b..n-1 and those of l its low vertices
-    0..b-1.  Layer k holds the binom(n-b, k) rows h of popcount k in numeric
-    order; the layers below `cut` come back as None.
+    """fas[S], the fewest arcs a ranking of S puts backwards, for the subsets
+    S of the tournament with out-neighbour masks `rows`, in row layers: the
+    entry of S is layers[k][pos[h], l], where the bits of h are its k high
+    vertices b..n-1 and those of l its low vertices 0..b-1.  Layer k holds
+    the binom(n-b, k) rows h of popcount k in numeric order; the layers below
+    `cut` come back as None.
 
-    Every entry and every candidate, partial sums included, counts consistent
-    edges of a sub-tournament on S, so it is at most binom(n, 2); the layers
-    are `_dp_dtype(n)`, one byte per subset up to n = 23, and no sum can wrap.
+    A ranking or its reverse puts at most half the arcs of S backwards, so
+    fas(S) <= floor(binom(|S|, 2) / 2).  A candidate, fas(S \\ {v}) plus the
+    gain |S & out(v)| of ranking v last (v is not in out(v)), is then at most
+    floor(binom(|S| - 1, 2) / 2) + |S| - 1, partial sums included: 149 at
+    n = 24, and first above 255 at n = 32.  So the layers are uint8 at every
+    n, and no sum can wrap.  Blocks start at 0xFF, above every value, and the
+    empty set at 0; each candidate is folded in by np.minimum.
 
-    Taking v first in S gains |S & out(v)| (v is not in out(v)), which splits
-    into a row part |h & out(v) >> b| and a column part |l & out(v)|; for a
-    high vertex both come from one gather of `gain_tab`.  Removing a high
-    vertex leaves a row of layer k - 1, which is already final.  Removing a
-    low vertex stays in the row, so inside a row the columns are swept by
-    their popcount.  A layer is filled in blocks of _BLOCK_ROWS rows at every
-    n, so a block's scratch does not grow with n, while the layers double per
-    vertex; up to n = 19 every layer is a single block.  Each block is filled
-    by a call of its own, which frees its temporaries before the next block
-    allocates.  The low-vertex steps run on the transposed block, one row per
-    column l: gathering columns of the block would copy one element at a
-    time, while rows of its transpose copy whole and reduce over a long axis.
-    Layer k - 1 is dropped once layer k is complete if k - 1 < cut.
+    The gain splits into a row part |h & out(v) >> b| and a column part
+    |l & out(v)|; for a high vertex both come from one gather of `gain_tab`.
+    Removing a high vertex leaves a row of layer k - 1, which is already
+    final.  Removing a low vertex stays in the row, so inside a row the
+    columns are swept by their popcount.  A layer is filled in blocks of
+    _BLOCK_ROWS rows at every n, so a block's scratch does not grow with n,
+    while the layers double per vertex; up to n = 19 every layer is a single
+    block.  Each block is filled by a call of its own, which frees its
+    temporaries before the next block allocates.  The low-vertex steps run on
+    the transposed block, one row per column l: gathering columns of the
+    block would copy one element at a time, while rows of its transpose copy
+    whole and reduce over a long axis.  Layer k - 1 is dropped once layer k
+    is complete if k - 1 < cut.
     """
     n = len(rows)
     b = min(n, _BLOCK_BITS)
     width, nrows = 1 << b, 1 << (n - b)
-    dtype = _dp_dtype(n)
     out_rows = np.array(rows, dtype=np.uint32)
     cols = np.arange(width, dtype=np.uint32)
-    col_gain = np.bitwise_count(out_rows[:, None] & cols).astype(dtype)
+    col_gain = np.bitwise_count(out_rows[:, None] & cols).astype(np.uint8)
     out_high = out_rows >> b
     # Per low popcount j: the columns l of that popcount, and for each of them
     # its j low vertices v, the columns l ^ 2^v they leave, and their gains.
@@ -179,9 +177,9 @@ def _dp_layers(rows, cut: int) -> tuple[list, np.ndarray]:
         v = np.nonzero((tgt[:, None] >> np.arange(b)) & 1)[1].reshape(tgt.size, j)
         src = tgt[:, None] ^ (1 << v)
         low_steps.append((tgt, src, v, col_gain[v, src][:, :, None]))
-    # gain_tab[i * (n - b + 1) + r]: the gains of taking high vertex b + i
-    # first, by column, in a row whose part of that gain is r.
-    gain_tab = col_gain[b:, None] + np.arange(n - b + 1, dtype=dtype)[:, None]
+    # gain_tab[i * (n - b + 1) + r]: the gains of ranking high vertex b + i
+    # last, by column, in a row whose part of that gain is r.
+    gain_tab = col_gain[b:, None] + np.arange(n - b + 1, dtype=np.uint8)[:, None]
     gain_tab = gain_tab.reshape(-1, width)
     row_pc = np.bitwise_count(np.arange(nrows, dtype=np.uint32))
     pos = np.empty(nrows, dtype=np.int32)  # a layer has <= 12,870 rows at DP_CAP
@@ -200,7 +198,7 @@ def _dp_layers(rows, cut: int) -> tuple[list, np.ndarray]:
             np.take(prev, pos[hs ^ bit], axis=0, out=cand, mode="clip")
             np.take(gain_tab, w * (n - b + 1) + r, axis=0, out=gains, mode="clip")
             cand += gains
-            np.maximum(block, cand, out=block)
+            np.minimum(block, cand, out=block)
         del cand, gains  # before the low-vertex steps allocate theirs
         bt = np.ascontiguousarray(block.T)
         row_gain = np.bitwise_count(out_high[:b, None] & hs)  # by low vertex
@@ -208,7 +206,7 @@ def _dp_layers(rows, cut: int) -> tuple[list, np.ndarray]:
             cand = np.take(bt, src, axis=0, mode="clip")
             cand += gain
             cand += np.take(row_gain, v, axis=0, mode="clip")
-            bt[tgt] = np.maximum(bt[tgt], cand.max(axis=1))
+            bt[tgt] = np.minimum(bt[tgt], cand.min(axis=1))
             del cand  # before the next popcount gathers its own
         block[...] = bt.T
 
@@ -216,7 +214,9 @@ def _dp_layers(rows, cut: int) -> tuple[list, np.ndarray]:
     for k in range(n - b + 1):
         members = np.flatnonzero(row_pc == k).astype(np.uint32)
         pos[members] = np.arange(members.size, dtype=np.int32)
-        layer = np.zeros((members.size, width), dtype=dtype)
+        layer = np.full((members.size, width), 0xFF, dtype=np.uint8)
+        if not k:
+            layer[0, 0] = 0  # the empty set
         for lo in range(0, members.size, _BLOCK_ROWS):
             hs = members[lo : lo + _BLOCK_ROWS]
             fill(layer[lo : lo + hs.size], hs, k, layers[k - 1] if k else None)
@@ -239,8 +239,9 @@ def _exact_ranks(rows, cut: int) -> tuple[int, list[int]]:
     """C(T) and an optimal ranking, as a rank per vertex, for the tournament
     with out-neighbour masks `rows`, from `_dp_layers(rows, cut)`.
 
-    The backtrack peels off the last-ranked vertex, smallest index on ties.
-    It gains the vertices of prev that beat it: all r - 1 but those it beats.
+    C(T) = binom(n, 2) - fas(V).  The backtrack peels off the last-ranked
+    vertex, smallest index on ties: a v with fas(s \\ {v}) plus its arcs
+    into s \\ {v}, now backwards, equal to fas(s).
     Once the high part of the set left reaches the lowest kept layer, its
     predecessors are gone; the at most cut + b vertices left are ranked by an
     exact DP of their own, listed in ascending order, so the tie-break and
@@ -251,12 +252,12 @@ def _exact_ranks(rows, cut: int) -> tuple[int, list[int]]:
     low = (1 << b) - 1
     layers, pos = _dp_layers(rows, cut)
 
-    def best(s: int) -> int:
+    def fas(s: int) -> int:
         h = s >> b
         return int(layers[h.bit_count()][pos[h], s & low])
 
     s = (1 << n) - 1
-    value = best(s)
+    value = n * (n - 1) // 2 - fas(s)
     ranks = [0] * n
     for r in range(n, 0, -1):
         k = (s >> b).bit_count()
@@ -268,14 +269,14 @@ def _exact_ranks(rows, cut: int) -> tuple[int, list[int]]:
             for v, rank in zip(left, _exact_ranks(sub_rows, _dp_cut(r))[1]):
                 ranks[v] = rank
             break
-        target = best(s)
+        target = fas(s)
         for v in mask_vertices(s):
             prev = s & ~(1 << v)
-            if best(prev) + r - 1 - (rows[v] & prev).bit_count() == target:
+            if fas(prev) + (rows[v] & prev).bit_count() == target:
                 ranks[v] = r
                 s = prev
                 break
-        else:  # unreachable: some vertex always attains the max
+        else:  # unreachable: some vertex always attains the min
             raise AssertionError("DP backtrack found no predecessor")
     return value, ranks
 

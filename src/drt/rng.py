@@ -17,8 +17,7 @@ tests.  Both map a draw to ``floor(k * hi32 / 2**32)``: coins (k = 2) take
 its top bit (exact), trits (k = 3) have bias below 2**-32 and therefore
 irrelevant for statistical sampling.  The block functions reach the same
 values by comparing the draw, one step before mix64 ends, against fixed
-cuts (proved in `_uniform_block`), in 128 KiB sub-blocks; `trit_block` can
-write into a caller's buffer.
+cuts (proved in `_uniform_block`), in 128 KiB sub-blocks.
 """
 
 from __future__ import annotations
@@ -77,14 +76,12 @@ _COIN_CUT = np.uint64(1 << 63)
 _BIT_32 = np.uint64(1 << 32)
 
 
-def _uniform_block(
-    seed: int, start: int, count: int, k: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def _uniform_block(seed: int, start: int, count: int, k: int) -> np.ndarray:
     """floor(k * hi32 / 2**32), k = 2 or 3, of draws start .. start + count - 1.
 
-    The draws are written as uint8 into `out` (count elements, allocated when
-    None), _SUB_BLOCK at a time through three uint64 buffers of 128 KiB; the
-    result is the only count-sized array.
+    The draws are written as uint8 into the result, _SUB_BLOCK at a time
+    through three uint64 buffers of 128 KiB; the result is the only
+    count-sized array.
 
     The last step of mix64, w = z ^ (z >> 31), is never taken: two compares
     on z decide every draw.  The shifted term has its top 31 bits clear, so
@@ -105,10 +102,7 @@ def _uniform_block(
     h(w) = 0xAAAAAAAA < c2 and its trit is 1, while 0xAAAAAAAA and
     0xAAAAAAAC give 2.  The flip of bit 32 is what makes it one compare.
     """
-    if out is None:
-        out = np.empty(count, dtype=np.uint8)
-    elif out.dtype != np.uint8 or out.shape != (count,):
-        raise ValueError(f"out must be a uint8 array of shape ({count},)")
+    out = np.empty(count, dtype=np.uint8)
     sub = min(count, _SUB_BLOCK)
     # Draw start + lo + i mixes base + steps[i], base = seed + (start + lo) * GAMMA.
     steps = np.arange(1, sub + 1, dtype=np.uint64)
@@ -142,13 +136,6 @@ def coin_block(seed: int, start: int, count: int) -> np.ndarray:
     return _uniform_block(seed, start, count, 2)
 
 
-def trit_block(
-    seed: int, start: int, count: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Vectorized counterpart of SplitMix64.trit (uint8 array).
-
-    With `out`, a uint8 array of shape (count,), the trits are written into
-    it and it is returned, so a caller drawing many blocks keeps one buffer
-    instead of allocating one per call.
-    """
-    return _uniform_block(seed, start, count, 3, out)
+def trit_block(seed: int, start: int, count: int) -> np.ndarray:
+    """Vectorized counterpart of SplitMix64.trit (uint8 array)."""
+    return _uniform_block(seed, start, count, 3)

@@ -278,11 +278,9 @@ def parse_tournament(text: str) -> Tournament:
             raise ValueError(
                 f"line {i + 2}: row has {len(line)} characters, expected {n}"
             )
-        bad = set(line) - {"0", "1"}
-        if bad:
-            raise ValueError(
-                f"line {i + 2}: invalid character {sorted(bad)[0]!r}"
-            )
+        if not line.isascii() or line.encode().translate(None, b"01"):
+            bad = min(set(line) - {"0", "1"})
+            raise ValueError(f"line {i + 2}: invalid character {bad!r}")
         rows.append(int(line[::-1], 2))
     for extra, line in enumerate(lines[n + 1 :], start=n + 2):
         if line.strip():

@@ -256,7 +256,7 @@ def test_criterion_8_dp_time_peak_and_rerun_stability():
     assert count_consistent(t20, r20.ranking) == r20.value
 
     # Above n = 20 the DP keeps only its upper row layers (measured: 0.48x
-    # the table at n = 23, 0.41x at n = 24)
+    # the table at n = 23, 0.43x at n = 24)
     t23 = cayley_tournament(paley_set(make_field(23, 1)))
     r23, elapsed, peak = _timed_peak(exact_max_consistent, t23)
     assert elapsed < 900.0, f"n=23 took {elapsed:.2f}s"
@@ -279,7 +279,7 @@ def test_criterion_8_dp_scratch_does_not_grow_with_n(n):
     # Past what the DP must hold at once, the whole table while every layer
     # is kept and the two largest adjacent layers above that, only a fixed
     # budget of block rows is added (measured: 0.10, 0.14, 0.20, 0.32, 0.43,
-    # 0.55, 0.60, 0.70 and 1.29 MiB at n = 16 to 24).
+    # 0.55, 0.60, 0.70 and 0.88 MiB at n = 16 to 24).
     t = random_tournament(n, derive_seed(31, n))
     m, item = n - 8, dp_table_nbytes(n) >> n
     pair = max(math.comb(m, k) + math.comb(m, k + 1) for k in range(m)) * 256 * item

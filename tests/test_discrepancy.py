@@ -27,7 +27,7 @@ from drt.discrepancy import (
 )
 from drt.diffset import paley_set
 from drt.groups import ORDER_CAP, make_field
-from drt.ranking import exact_max_consistent
+from drt.ranking import DP_CAP, _dp_layers, exact_max_consistent
 from drt.rng import trit_block
 from drt.tourney import (
     _F32_EXACT,
@@ -507,6 +507,19 @@ def test_sweep_cap_keeps_int8_exact():
     assert largest <= np.iinfo(_signed(transitive(SWEEP_CAP)).dtype).max
 
 
+def test_dp_cap_keeps_uint8_exact():
+    # A DP candidate at |S| = s is at most fas(S \ {v}) <= binom(s-1, 2) // 2
+    # plus the s - 1 arcs of v; the layers have one type at every n, and it
+    # holds that through s = 31.
+    top = np.iinfo(_dp_layers(transitive(1).rows, 0)[0][0].dtype).max
+
+    def largest(s):
+        return math.comb(s - 1, 2) // 2 + s - 1
+
+    assert all(largest(s) <= top for s in range(1, DP_CAP + 1))
+    assert next(s for s in itertools.count(1) if largest(s) > top) == 32
+
+
 @pytest.mark.parametrize("n,samples", [(2, 1), (2, 5000), (7, 300), (27, 40000)])
 def test_sampled_draws_only_the_rows_it_needs(monkeypatch, n, samples):
     # The candidate rows tile the stream from its start, and no draw reaches
@@ -514,10 +527,10 @@ def test_sampled_draws_only_the_rows_it_needs(monkeypatch, n, samples):
     calls = []
     collected = 0
 
-    def recording(seed, start, count, out=None):
+    def recording(seed, start, count):
         nonlocal collected
         calls.append((start, count, samples - collected))
-        trits = trit_block(seed, start, count, out=out)
+        trits = trit_block(seed, start, count)
         rows = trits.reshape(-1, n)
         collected += int(((rows == 1).any(axis=1) & (rows == 2).any(axis=1)).sum())
         return trits

@@ -204,12 +204,25 @@ def _dp_cases():
         yield pytest.param(t, id=f"paley{p}")
 
 
-def _layers_of(table: np.ndarray, n: int) -> list[np.ndarray]:
-    """A flat value table cut into `_dp_layers`' row layers: rows of 2^b
+def _row_layers(flat: np.ndarray, n: int) -> list[np.ndarray]:
+    """A flat per-subset array cut into `_dp_layers`' row layers: rows of 2^b
     low-vertex subsets, grouped by the popcount of their high part."""
-    rows = table.reshape(-1, 1 << min(n, 8))
+    rows = flat.reshape(-1, 1 << min(n, 8))
     row_pc = np.bitwise_count(np.arange(rows.shape[0]))
     return [rows[row_pc == k] for k in range(rows.shape[0].bit_length())]
+
+
+def _subset_sizes(n: int) -> np.ndarray:
+    """|S| for every subset S, in int64: np.bitwise_count's uint8 would wrap
+    in |S| (|S| - 1) from |S| = 17."""
+    return np.bitwise_count(np.arange(1 << n)).astype(np.int64)
+
+
+def _layers_of(table: np.ndarray, n: int) -> list[np.ndarray]:
+    """A flat C(T[S]) table as the backward arcs binom(|S|, 2) - C(T[S]) of
+    `_dp_layers`, in its row layers."""
+    size = _subset_sizes(n)
+    return _row_layers(size * (size - 1) // 2 - table, n)
 
 
 @pytest.mark.parametrize("t", list(_dp_cases()))
@@ -250,18 +263,31 @@ def test_dp_cap_and_table_size():
     assert dp_table_nbytes(20) == 1 << 20  # 1 MiB: one byte per subset
     assert dp_table_nbytes(20) <= 64 * 2**20
     assert dp_table_nbytes(23) == 1 << 23
-    assert dp_table_nbytes(24) == 2 << 24  # binom(24, 2) = 276 needs two bytes
+    assert dp_table_nbytes(24) == 1 << 24  # one byte at the cap too
 
 
-@pytest.mark.parametrize("n", [1, 8, 9, 16, 23, 24])
-def test_dp_table_size_and_largest_value(n):
-    # transitive(n) fills the top entry with binom(n, 2), the largest value the
-    # table must hold: 253 in the byte table at n = 23, 276 in uint16 at 24.
-    t = transitive(n)
+def _size_cases():
+    for n in (1, 8, 9, 16, 23, 24):
+        yield pytest.param(transitive(n), True, id=str(n))
+    for p in (7, 11, 19, 23):
+        t = cayley_tournament(paley_set(make_field(p, 1)))
+        yield pytest.param(t, False, id=f"paley{p}")
+
+
+@pytest.mark.parametrize("t,is_transitive", list(_size_cases()))
+def test_dp_table_size_and_largest_value(t, is_transitive):
+    # One byte per subset at every n: no ranking of S puts more than half its
+    # arcs backwards, as it or its reverse puts at most half, so every entry
+    # is at most floor(binom(|S|, 2) / 2).
+    n = t.n
     layers, _ = _dp_layers(t.rows, 0)
+    assert all(layer.dtype == np.uint8 for layer in layers)
     assert sum(layer.nbytes for layer in layers) == dp_table_nbytes(n)
-    assert int(layers[-1][-1, -1]) == n * (n - 1) // 2
-    assert exact_max_consistent(t).ranking == tuple(range(1, n + 1))
+    size = _subset_sizes(n)
+    for layer, bound in zip(layers, _row_layers(size * (size - 1) // 4, n)):
+        assert (layer <= bound).all()
+    if is_transitive:
+        assert exact_max_consistent(t).ranking == tuple(range(1, n + 1))
 
 
 def _cut_cases():

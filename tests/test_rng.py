@@ -105,20 +105,6 @@ def test_seed_wraps_modulo_2_to_64():
     assert list(trit_block(-1, 0, 64)) == list(trit_block(2**64 - 1, 0, 64))
 
 
-def test_trit_block_writes_into_out():
-    count = 2 * _SUB_BLOCK + 7
-    buf = np.full(count + 3, 9, dtype=np.uint8)
-    got = trit_block(11, 5, count, out=buf[3:])
-    assert got.base is buf
-    assert np.array_equal(got, trit_block(11, 5, count))
-    assert buf[:3].tolist() == [9, 9, 9]
-    whole = np.empty(count, dtype=np.uint8)
-    assert trit_block(11, 5, count, out=whole) is whole
-    for bad in (np.empty(count, dtype=np.int64), np.empty(count - 1, dtype=np.uint8)):
-        with pytest.raises(ValueError):
-            trit_block(11, 5, count, out=bad)
-
-
 _MASK64 = (1 << 64) - 1
 
 

@@ -466,6 +466,7 @@ def test_format_round_trip(t7):
         ("2\n010\n10\n", "expected 2"),
         ("x\n0\n", "line 1"),
         ("2\n0a\n10\n", "line 2"),
+        ("2\n0\u0661\n1a\n", "line 2: invalid character '\u0661'"),
         ("", "line 1: missing vertex count"),
         ("0\n", "line 1: vertex count must be >= 1, got 0"),
         ("2\n01\n00\n\nx\n", "line 5: unexpected content 'x'"),
@@ -474,6 +475,15 @@ def test_format_round_trip(t7):
 def test_parse_tournament_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         parse_tournament(text)
+
+
+def test_parse_names_a_bad_last_row_of_a_large_file():
+    # Every row is checked, and the message names the least bad character.
+    lines = format_tournament(random_tournament(2000, 5)).splitlines()
+    lines[-1] = lines[-1][:-2] + "z\u0661"
+    with pytest.raises(ValueError) as e:
+        parse_tournament("\n".join(lines))
+    assert str(e.value) == "line 2001: invalid character 'z'"
 
 
 @pytest.mark.parametrize("count", ["+2", "0_2", "\u0662", "\uff12"])
