@@ -281,8 +281,8 @@ def test_criterion_8_dp_scratch_does_not_grow_with_n(n):
     # budget of block rows is added (measured: 0.10, 0.14, 0.20, 0.32, 0.43,
     # 0.55, 0.60, 0.70 and 0.88 MiB at n = 16 to 24).
     t = random_tournament(n, derive_seed(31, n))
-    m, item = n - 8, dp_table_nbytes(n) >> n
-    pair = max(math.comb(m, k) + math.comb(m, k + 1) for k in range(m)) * 256 * item
+    m = n - 8
+    pair = max(math.comb(m, k) + math.comb(m, k + 1) for k in range(m)) * 256
     held = pair if _dp_cut(n) else dp_table_nbytes(n)
     _, _, peak = _timed_peak(_dp_layers, t.rows, _dp_cut(n))
     assert peak - held <= 1.5 * 2**20, f"n={n}: {peak - held} bytes past the layers"

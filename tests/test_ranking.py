@@ -204,25 +204,15 @@ def _dp_cases():
         yield pytest.param(t, id=f"paley{p}")
 
 
-def _row_layers(flat: np.ndarray, n: int) -> list[np.ndarray]:
-    """A flat per-subset array cut into `_dp_layers`' row layers: rows of 2^b
-    low-vertex subsets, grouped by the popcount of their high part."""
-    rows = flat.reshape(-1, 1 << min(n, 8))
+def _layers_of(table: np.ndarray, n: int) -> list[np.ndarray]:
+    """A flat C(T[S]) table as the backward arcs binom(|S|, 2) - C(T[S]),
+    cut into `_dp_layers`' row layers: rows of 2^b low-vertex subsets,
+    grouped by the popcount of their high part.  |S| is int64, as
+    np.bitwise_count's uint8 would wrap in |S| (|S| - 1) from |S| = 17."""
+    size = np.bitwise_count(np.arange(table.size)).astype(np.int64)
+    rows = (size * (size - 1) // 2 - table).reshape(-1, 1 << min(n, 8))
     row_pc = np.bitwise_count(np.arange(rows.shape[0]))
     return [rows[row_pc == k] for k in range(rows.shape[0].bit_length())]
-
-
-def _subset_sizes(n: int) -> np.ndarray:
-    """|S| for every subset S, in int64: np.bitwise_count's uint8 would wrap
-    in |S| (|S| - 1) from |S| = 17."""
-    return np.bitwise_count(np.arange(1 << n)).astype(np.int64)
-
-
-def _layers_of(table: np.ndarray, n: int) -> list[np.ndarray]:
-    """A flat C(T[S]) table as the backward arcs binom(|S|, 2) - C(T[S]) of
-    `_dp_layers`, in its row layers."""
-    size = _subset_sizes(n)
-    return _row_layers(size * (size - 1) // 2 - table, n)
 
 
 @pytest.mark.parametrize("t", list(_dp_cases()))
@@ -283,9 +273,10 @@ def test_dp_table_size_and_largest_value(t, is_transitive):
     layers, _ = _dp_layers(t.rows, 0)
     assert all(layer.dtype == np.uint8 for layer in layers)
     assert sum(layer.nbytes for layer in layers) == dp_table_nbytes(n)
-    size = _subset_sizes(n)
-    for layer, bound in zip(layers, _row_layers(size * (size - 1) // 4, n)):
-        assert (layer <= bound).all()
+    col_pc = np.bitwise_count(np.arange(layers[0].shape[1])).astype(np.int64)
+    for k, layer in enumerate(layers):  # |S| = k high vertices + the column's
+        size = col_pc + k
+        assert (layer <= size * (size - 1) // 4).all()
     if is_transitive:
         assert exact_max_consistent(t).ranking == tuple(range(1, n + 1))
 

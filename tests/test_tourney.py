@@ -478,9 +478,10 @@ def test_parse_tournament_errors(text, fragment):
 
 
 def test_parse_names_a_bad_last_row_of_a_large_file():
-    # Every row is checked, and the message names the least bad character.
+    # Every row is checked, and the message names the least bad character,
+    # also beside a lone surrogate, which str.encode refuses.
     lines = format_tournament(random_tournament(2000, 5)).splitlines()
-    lines[-1] = lines[-1][:-2] + "z\u0661"
+    lines[-1] = lines[-1][:-2] + "z\ud800"
     with pytest.raises(ValueError) as e:
         parse_tournament("\n".join(lines))
     assert str(e.value) == "line 2001: invalid character 'z'"
