@@ -255,8 +255,8 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
     allocated once per call at the first chunk's size and every chunk writes
     into them, so a chunk allocates only its trits (at most 64 KiB, below
     glibc's mmap threshold), its few per-row vectors and the rng's 128 KiB
-    sub-block buffers.  d is exact in float32, as its partial
-    sums stay within n^2/4 (`tourney._F32_EXACT`).
+    sub-block buffers.  d is exact in float32, as its partial sums stay
+    within n^2/4 (`tourney._F32_EXACT`).
 
     The worst pair is found per chunk without a loop over rows.  The ratio
     d_+^2 / (n |A| |B|) is formed in float64: numerator and denominator are
