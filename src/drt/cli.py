@@ -135,6 +135,23 @@ def _verdict_dict(v) -> dict:
     return {"ok": v.ok, "reason": v.reason}
 
 
+def _shds_dict(d) -> tuple[dict, bool]:
+    """The group, order and skew Hadamard verdict of `d`, and whether it holds."""
+    shds = is_shds(d)
+    results = {"group": format_group_spec(d.group.moduli), "n": d.group.order,
+               "shds": _verdict_dict(shds)}
+    return results, shds.ok
+
+
+def _verify_dict(t: Tournament) -> tuple[dict, bool]:
+    """The double regularity and Gram verdicts of `t`, and whether both hold."""
+    dr = is_doubly_regular(t)
+    gram = verify_gram_identities(t)
+    results = {"n": t.n, "doubly_regular": _verdict_dict(dr),
+               "gram": _verdict_dict(gram)}
+    return results, dr.ok and gram.ok
+
+
 def _rank_dict(t: Tournament, r: RankingResult) -> dict:
     total = t.n * (t.n - 1) // 2
     return {
@@ -187,15 +204,9 @@ def cmd_diffset_paley(args, inputs: dict[str, str]) -> Outcome:
 
 def cmd_diffset_verify(args, inputs: dict[str, str]) -> Outcome:
     d = _load(args.file, inputs, parse_diffset)
-    verdict = is_shds(d)
-    results = {
-        "group": format_group_spec(d.group.moduli),
-        "n": d.group.order,
-        "size": len(d.elements),
-        "indices": list(d.indices),
-        "shds": _verdict_dict(verdict),
-    }
-    return results, 0 if verdict.ok else 1
+    results, ok = _shds_dict(d)
+    results.update(size=len(d.elements), indices=list(d.indices))
+    return results, 0 if ok else 1
 
 
 def cmd_diffset_classify(args, inputs: dict[str, str]) -> Outcome:
@@ -222,15 +233,8 @@ def cmd_tourney_cayley(args, inputs: dict[str, str]) -> Outcome:
 
 
 def cmd_tourney_verify(args, inputs: dict[str, str]) -> Outcome:
-    t = _load(args.file, inputs, parse_tournament)
-    dr = is_doubly_regular(t)
-    gram = verify_gram_identities(t)
-    results = {
-        "n": t.n,
-        "doubly_regular": _verdict_dict(dr),
-        "gram": _verdict_dict(gram),
-    }
-    return results, 0 if dr.ok and gram.ok else 1
+    results, ok = _verify_dict(_load(args.file, inputs, parse_tournament))
+    return results, 0 if ok else 1
 
 
 def cmd_tourney_random(args, inputs: dict[str, str]) -> Outcome:
@@ -281,10 +285,8 @@ def cmd_discrepancy_bounds(args, inputs: dict[str, str]) -> Outcome:
     t = _load(args.file, inputs, parse_tournament)
     if args.c_value is not None:
         check_theorem_bound(t, args.c_value)  # refuse its range before ranking
-    if t.n <= DP_CAP:
-        r = exact_max_consistent(t)
-    else:
-        r = heuristic_rank(t, strategy="local-search")
+    r = (exact_max_consistent(t) if t.n <= DP_CAP
+         else heuristic_rank(t, strategy="local-search"))
     c_value = args.c_value if args.c_value is not None else r.value
     bounds, holds = _bounds_dict(t, r.ranking, c_value)
     results = {
@@ -305,51 +307,30 @@ def cmd_pipeline_paley(args, inputs: dict[str, str]) -> Outcome:
     if args.rank_cap < 0:
         raise ValueError(f"--rank-cap must be at least 0, got {args.rank_cap}")
     field = make_field(args.p, args.k)
+    n = field.order
+    exact = n <= args.rank_cap
     # Every q above SWEEP_CAP is sampled, and the sampler stops at SAMPLE_CAP;
     # q up to --rank-cap is ranked exactly, and the DP stops at DP_CAP: refuse
     # either before the Paley set and the tournament are built.
-    if field.order > SAMPLE_CAP:
+    if n > SAMPLE_CAP:
         raise ValueError(f"pipeline paley supports q = p^k <= {SAMPLE_CAP},"
-                         f" got q = {field.order}")
-    if field.order <= args.rank_cap:
-        _check_dp_cap(field.order)
+                         f" got q = {n}")
+    if exact:
+        _check_dp_cap(n)
     d = paley_set(field)
-    n = field.order
-    shds = is_shds(d)
-    ok = shds.ok
-    results: dict = {
-        "group": format_group_spec(d.group.moduli),
-        "q": n,
-        "n": n,
-        "shds": _verdict_dict(shds),
-    }
+    shds, shds_ok = _shds_dict(d)
     t = cayley_tournament(d)
-    dr = is_doubly_regular(t)
-    gram = verify_gram_identities(t)
-    ok = ok and dr.ok and gram.ok
-    results["doubly_regular"] = _verdict_dict(dr)
-    results["gram"] = _verdict_dict(gram)
-
-    if n <= args.rank_cap:
-        r = exact_max_consistent(t)
-        results["rank"] = _rank_dict(t, r)
-    else:
-        r = heuristic_rank(t, strategy="local-search")
-        results["rank"] = {
-            "skipped": f"exact ranking skipped (n = {n} > cap {args.rank_cap})",
-            "lower_bound": _rank_dict(t, r),
-        }
-
-    if n <= SWEEP_CAP:
-        mixing = exhaustive_mixing_check(t)
-    else:
-        mixing = sampled_mixing_check(t, args.samples, args.seed)
-    ok = ok and mixing.violations == 0
-    results["mixing"] = _mixing_dict(t, mixing)
-
+    verify, verify_ok = _verify_dict(t)
+    r = exact_max_consistent(t) if exact else heuristic_rank(t, strategy="local-search")
+    rank = _rank_dict(t, r)
+    if not exact:
+        rank = {"skipped": f"exact ranking skipped (n = {n} > cap {args.rank_cap})",
+                "lower_bound": rank}
+    mixing = _mixing_dict(t, exhaustive_mixing_check(t) if n <= SWEEP_CAP
+                          else sampled_mixing_check(t, args.samples, args.seed))
     bounds, holds = _bounds_dict(t, r.ranking, r.value)
-    ok = ok and holds
-    results.update(bounds)
+    results = {**shds, **verify, "q": n, "rank": rank, "mixing": mixing, **bounds}
+    ok = shds_ok and verify_ok and mixing["violations"] == 0 and holds
     return results, 0 if ok else 1
 
 

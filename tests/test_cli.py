@@ -104,6 +104,41 @@ def test_drt_threads_is_ignored(capsys, monkeypatch):
     assert payloads[0] == payloads[1]
 
 
+@pytest.mark.parametrize("q", [7, 11, 19, 23])
+def test_pipeline_sections_are_the_single_commands_results(capsys, tmp_path, q):
+    dpath, tpath = str(tmp_path / "d.txt"), str(tmp_path / "t.txt")
+    assert main(["diffset", "paley", "--p", str(q), "-o", dpath]) == 0
+    assert main(["tourney", "cayley", dpath, "-o", tpath]) == 0
+
+    def results(*argv):
+        code, rep = report_of(capsys, list(argv))
+        assert code == 0
+        return rep["results"]
+
+    pipe = results("pipeline", "paley", "--p", str(q))
+    shds = results("diffset", "verify", dpath)
+    for key in ("group", "n", "shds"):
+        assert pipe[key] == shds[key]
+    verify = results("tourney", "verify", tpath)
+    assert {key: pipe[key] for key in verify} == verify
+    if q <= cli.PIPELINE_RANK_CAP:
+        assert pipe["rank"] == results("rank", "exact", tpath)
+        # both rank exactly here, so the bounds are checked on the same ranking
+        c_value = str(pipe["rank"]["value"])
+        bounds = results("discrepancy", "bounds", tpath, "--c-value", c_value)
+        for key in ("sigma_gap", "theorem"):
+            assert pipe[key] == bounds[key]
+    else:
+        assert pipe["rank"]["lower_bound"] == results("rank", "heuristic", tpath)
+    if q <= cli.SWEEP_CAP:
+        assert pipe["mixing"] == results("discrepancy", "sweep", tpath)
+    else:
+        sample = results("discrepancy", "sample", tpath,
+                         "--samples", str(cli.PIPELINE_SAMPLES), "--seed", "0")
+        assert sample.pop("seed") == 0
+        assert pipe["mixing"] == sample
+
+
 # --------------------------------------------------------------- round trips
 
 
@@ -292,6 +327,28 @@ def test_pipeline_refuses_a_negative_rank_cap_before_the_field(monkeypatch, caps
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert err == "drt: error: --rank-cap must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--p", "907"], "pipeline paley supports q = p^k <= 900, got q = 907"),
+    (["--p", "7", "--samples", "0"], "need at least one sample, got 0"),
+    (["--p", "3", "--k", "3", "--rank-cap", "30"],
+     "exact DP capped at n = 24, its memory doubling per vertex;"
+     " use heuristic_rank for n = 27"),
+], ids=["q907", "samples0", "rank-cap30"])
+def test_pipeline_refuses_before_the_paley_set(monkeypatch, capsys, argv, message):
+    reached = []
+
+    def boom(*args):
+        reached.append(args)
+        raise AssertionError("Paley set built")
+
+    monkeypatch.setattr(cli, "paley_set", boom)
+    with pytest.raises(SystemExit) as info:
+        main(["pipeline", "paley", *argv])
+    assert info.value.code == 2
+    assert capsys.readouterr().err == f"drt: error: {message}\n"
+    assert reached == []
 
 
 def test_rank_exact_enters_the_dp_once(monkeypatch, capsys, tmp_path):
@@ -491,6 +548,30 @@ def test_pretty_rendering(capsys, tmp_path):
     # pretty mode is a rendering of the same payload, not JSON
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+def _pretty_values(out: str) -> dict[str, str]:
+    """Each `--pretty` line's key and its rendered value."""
+    return {key: value.strip()
+            for key, _, value in (line.partition(" ") for line in out.splitlines())}
+
+
+def test_pretty_renders_an_empty_dict_as_braces(capsys):
+    code, out = run(capsys, ["pipeline", "paley", "--p", "3", "--pretty"])
+    assert code == 0
+    assert _pretty_values(out)["inputs"] == "{}"
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["rank", "exact"], "results.ratio"),
+    (["discrepancy", "sweep"], "results.worst_pair"),
+])
+def test_pretty_renders_none_on_one_vertex(capsys, tmp_path, argv, key):
+    tpath = tmp_path / "t1.txt"
+    tpath.write_text("1\n0\n")
+    code, out = run(capsys, [*argv, str(tpath), "--pretty"])
+    assert code == 0
+    assert _pretty_values(out)[key] == "None"
 
 
 # --------------------------------------------------------------- entry point

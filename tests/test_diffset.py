@@ -180,6 +180,13 @@ def test_candidate_from_indices_validates():
     assert candidate_from_indices(Z7, [1, 1, 2]).indices == (1, 2)
 
 
+def test_candidate_set_stores_its_elements_as_a_frozenset():
+    d = CandidateSet(Z7, {(1,), (2,), (4,)})
+    assert isinstance(d.elements, frozenset)
+    assert d == CandidateSet(Z7, frozenset({(1,), (2,), (4,)}))
+    assert is_shds(d).ok
+
+
 # ------------------------------------------------------------- automorphisms
 
 

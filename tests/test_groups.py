@@ -35,6 +35,13 @@ def test_abelian_group_is_where_moduli_are_checked():
     assert make_group([7.0, "3"]).moduli == (7, 3)  # make_group only coerces
 
 
+def test_abelian_group_stores_its_moduli_as_a_tuple():
+    g = AbelianGroup([7])
+    assert g.moduli == (7,)
+    assert g == AbelianGroup((7,))
+    assert hash(g) == hash(AbelianGroup((7,)))
+
+
 def test_order_is_product_of_moduli():
     assert make_group((7,)).order == 7
     assert make_group((3, 3, 3)).order == 27
