@@ -4,16 +4,18 @@ Report-emitting subcommands print a single JSON object to stdout:
 
     {schema_version, tool_version, command, inputs, results, wall_time_ms}
 
-A command returns only its `results` and exit code; `main` times it, records
-the files it reads and wraps the results in this envelope.
+A command returns its `results` (None when it writes a file instead) and
+whether its verdicts passed.  `main` times it, records the files it reads and
+wraps the results in this envelope.  `main` alone sets the exit code: 0 when
+every check passes, 1 when a verdict fails or a violation is found, 2 for
+usage errors and every exception, printed as one `drt: error:` line.
 
 `inputs` maps each input path to its sha256; `results` is deterministic given
 the same inputs and seed (wall_time_ms is the one field outside that
-contract).  `--pretty` renders the same payload as aligned text.  Exit codes:
-0 all checks pass, 1 only a failed verdict or violation, 2 usage errors and
-every exception, as one `drt: error:` line.  `drt` starts no threads of its
-own; numpy's BLAS may use several for the float32 matrix products, whose
-results are the same in any summation order (see `tourney._F32_EXACT`).
+contract).  `--pretty` renders the same payload as aligned text.  `drt`
+starts no threads of its own; numpy's BLAS may use several for the float32
+matrix products, whose results are the same in any summation order (see
+`tourney._F32_EXACT`).
 """
 
 from __future__ import annotations
@@ -67,8 +69,9 @@ from .tourney import (
 PIPELINE_RANK_CAP = 20
 PIPELINE_SAMPLES = 20_000
 
-# A command's report `results` (None when it writes a file instead) and exit code.
-Outcome = tuple[Optional[dict], int]
+# A command's report `results` (None when it writes a file instead) and whether
+# its verdicts passed; `main` maps that to exit 0 or 1, and any exception to 2.
+Outcome = tuple[Optional[dict], bool]
 
 
 def _load(path: str, inputs: dict[str, str], parse):
@@ -164,14 +167,15 @@ def _rank_dict(t: Tournament, r: RankingResult) -> dict:
     }
 
 
-def _mixing_dict(t: Tournament, report) -> dict:
+def _mixing_dict(t: Tournament, report) -> tuple[dict, bool]:
+    """The mixing report as a report entry, and whether it found no violation."""
     worst = None
     if report.worst_pair is not None:
         worst = {
             "A": mask_vertices(report.worst_pair[0]),
             "B": mask_vertices(report.worst_pair[1]),
         }
-    return {
+    results = {
         "n": t.n,
         "method": report.method,
         "pairs_checked": report.pairs_checked,
@@ -183,6 +187,7 @@ def _mixing_dict(t: Tournament, report) -> dict:
         },
         "worst_pair": worst,
     }
+    return results, report.violations == 0
 
 
 def _bounds_dict(t: Tournament, ranking, c_value: int) -> tuple[dict, bool]:
@@ -199,14 +204,14 @@ def _bounds_dict(t: Tournament, ranking, c_value: int) -> tuple[dict, bool]:
 def cmd_diffset_paley(args, inputs: dict[str, str]) -> Outcome:
     d = paley_set(make_field(args.p, args.k))
     _write_output(format_diffset(d), args.output)
-    return None, 0
+    return None, True
 
 
 def cmd_diffset_verify(args, inputs: dict[str, str]) -> Outcome:
     d = _load(args.file, inputs, parse_diffset)
     results, ok = _shds_dict(d)
     results.update(size=len(d.elements), indices=list(d.indices))
-    return results, 0 if ok else 1
+    return results, ok
 
 
 def cmd_diffset_classify(args, inputs: dict[str, str]) -> Outcome:
@@ -216,7 +221,7 @@ def cmd_diffset_classify(args, inputs: dict[str, str]) -> Outcome:
         "class_count": len(classes),
         "classes": classes,
     }
-    return results, 0
+    return results, True
 
 
 # ---------------------------------------------------------------- tourney
@@ -225,22 +230,21 @@ def cmd_diffset_classify(args, inputs: dict[str, str]) -> Outcome:
 def cmd_tourney_cayley(args, inputs: dict[str, str]) -> Outcome:
     d = _load(args.file, inputs, parse_diffset)
     skew = is_skew(d)
-    if not skew:
+    if skew:
+        _write_output(format_tournament(cayley_tournament(d)), args.output)
+    else:
         print(f"drt: set is not skew: {skew.reason}", file=sys.stderr)
-        return None, 1
-    _write_output(format_tournament(cayley_tournament(d)), args.output)
-    return None, 0
+    return None, skew.ok
 
 
 def cmd_tourney_verify(args, inputs: dict[str, str]) -> Outcome:
-    results, ok = _verify_dict(_load(args.file, inputs, parse_tournament))
-    return results, 0 if ok else 1
+    return _verify_dict(_load(args.file, inputs, parse_tournament))
 
 
 def cmd_tourney_random(args, inputs: dict[str, str]) -> Outcome:
     t = random_tournament(args.n, args.seed)
     _write_output(format_tournament(t), args.output)
-    return None, 0
+    return None, True
 
 
 # ---------------------------------------------------------------- rank
@@ -249,19 +253,19 @@ def cmd_tourney_random(args, inputs: dict[str, str]) -> Outcome:
 def cmd_rank_exact(args, inputs: dict[str, str]) -> Outcome:
     t = _load(args.file, inputs, parse_tournament)
     r = exact_max_consistent(t)
-    return _rank_dict(t, r), 0
+    return _rank_dict(t, r), True
 
 
 def cmd_rank_heuristic(args, inputs: dict[str, str]) -> Outcome:
     t = _load(args.file, inputs, parse_tournament)
     r = heuristic_rank(t, strategy=args.strategy)
-    return _rank_dict(t, r), 0
+    return _rank_dict(t, r), True
 
 
 def cmd_rank_baseline(args, inputs: dict[str, str]) -> Outcome:
     results = dataclasses.asdict(random_baseline(args.n, args.trials, args.seed))
     del results["values"]
-    return results, 0
+    return results, True
 
 
 # ---------------------------------------------------------------- discrepancy
@@ -269,16 +273,14 @@ def cmd_rank_baseline(args, inputs: dict[str, str]) -> Outcome:
 
 def cmd_discrepancy_sweep(args, inputs: dict[str, str]) -> Outcome:
     t = _load(args.file, inputs, parse_tournament)
-    report = exhaustive_mixing_check(t)
-    return _mixing_dict(t, report), 1 if report.violations else 0
+    return _mixing_dict(t, exhaustive_mixing_check(t))
 
 
 def cmd_discrepancy_sample(args, inputs: dict[str, str]) -> Outcome:
     t = _load(args.file, inputs, parse_tournament)
-    report = sampled_mixing_check(t, args.samples, args.seed)
-    results = _mixing_dict(t, report)
+    results, ok = _mixing_dict(t, sampled_mixing_check(t, args.samples, args.seed))
     results["seed"] = args.seed
-    return results, 1 if report.violations else 0
+    return results, ok
 
 
 def cmd_discrepancy_bounds(args, inputs: dict[str, str]) -> Outcome:
@@ -295,7 +297,7 @@ def cmd_discrepancy_bounds(args, inputs: dict[str, str]) -> Outcome:
         "c_method": "given" if args.c_value is not None else r.method,
         **bounds,
     }
-    return results, 0 if holds else 1
+    return results, holds
 
 
 # ---------------------------------------------------------------- pipeline
@@ -326,12 +328,12 @@ def cmd_pipeline_paley(args, inputs: dict[str, str]) -> Outcome:
     if not exact:
         rank = {"skipped": f"exact ranking skipped (n = {n} > cap {args.rank_cap})",
                 "lower_bound": rank}
-    mixing = _mixing_dict(t, exhaustive_mixing_check(t) if n <= SWEEP_CAP
-                          else sampled_mixing_check(t, args.samples, args.seed))
+    mixing, mixing_ok = _mixing_dict(
+        t, exhaustive_mixing_check(t) if n <= SWEEP_CAP
+        else sampled_mixing_check(t, args.samples, args.seed))
     bounds, holds = _bounds_dict(t, r.ranking, r.value)
     results = {**shds, **verify, "q": n, "rank": rank, "mixing": mixing, **bounds}
-    ok = shds_ok and verify_ok and mixing["violations"] == 0 and holds
-    return results, 0 if ok else 1
+    return results, shds_ok and verify_ok and mixing_ok and holds
 
 
 # ---------------------------------------------------------------- parser
@@ -345,12 +347,6 @@ def integer(text: str) -> int:
     return _decimal(text)
 
 
-def _add_pretty(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--pretty", action="store_true", help="render the report as aligned text"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drt",
@@ -361,90 +357,94 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"drt {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    reports: list[argparse.ArgumentParser] = []
+
+    def command(group, name: str, help: str, func, file: str | None = None,
+                report: bool = True) -> argparse.ArgumentParser:
+        """Subcommand `name` of `group`, run by `func`.  `file`, when given, is
+        the help of its input file positional ("" for none).  A report command
+        takes `--pretty` after its other options."""
+        p = group.add_parser(name, help=help)
+        if file is not None:
+            p.add_argument("file", help=file)
+        p.set_defaults(func=func)
+        if report:
+            reports.append(p)
+        return p
 
     diffset = sub.add_parser("diffset", help="difference-set construction and checks")
     dsub = diffset.add_subparsers(dest="subcommand", required=True)
-    p = dsub.add_parser("paley", help="emit the Paley set of F_{p^k} as a diffset file")
+    p = command(dsub, "paley", "emit the Paley set of F_{p^k} as a diffset file",
+                cmd_diffset_paley, report=False)
     p.add_argument("--p", type=integer, required=True, help="prime characteristic")
-    p.add_argument("--k", type=integer, default=1, help="extension degree (default 1)")
+    p.add_argument("--k", type=integer, default=1,
+                   help="extension degree (default %(default)s)")
     p.add_argument("-o", "--output", help="write here instead of stdout")
-    p.set_defaults(func=cmd_diffset_paley)
-    p = dsub.add_parser("verify", help="full skew-difference-set check")
-    p.add_argument("file")
-    _add_pretty(p)
-    p.set_defaults(func=cmd_diffset_verify)
-    p = dsub.add_parser("classify", help="group diffset files into equivalence classes")
+    command(dsub, "verify", "full skew-difference-set check", cmd_diffset_verify,
+            file="")
+    p = command(dsub, "classify", "group diffset files into equivalence classes",
+                cmd_diffset_classify)
     p.add_argument("files", nargs="+")
-    _add_pretty(p)
-    p.set_defaults(func=cmd_diffset_classify)
 
     tourney = sub.add_parser("tourney", help="tournament construction and checks")
     tsub = tourney.add_subparsers(dest="subcommand", required=True)
-    p = tsub.add_parser("cayley", help="build the Cayley tournament of a skew set")
-    p.add_argument("file", help="diffset file")
+    p = command(tsub, "cayley", "build the Cayley tournament of a skew set",
+                cmd_tourney_cayley, file="diffset file", report=False)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_tourney_cayley)
-    p = tsub.add_parser("verify", help="double regularity and product identities")
-    p.add_argument("file", help="tournament file")
-    _add_pretty(p)
-    p.set_defaults(func=cmd_tourney_verify)
-    p = tsub.add_parser("random", help="seeded uniform random tournament")
+    command(tsub, "verify", "double regularity and product identities",
+            cmd_tourney_verify, file="tournament file")
+    p = command(tsub, "random", "seeded uniform random tournament",
+                cmd_tourney_random, report=False)
     p.add_argument("--n", type=integer, required=True)
     p.add_argument("--seed", type=integer, default=0)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_tourney_random)
 
     rank = sub.add_parser("rank", help="maximum-consistency rankings")
     rsub = rank.add_subparsers(dest="subcommand", required=True)
-    p = rsub.add_parser("exact", help="exact optimum by subset DP")
-    p.add_argument("file", help="tournament file")
-    _add_pretty(p)
-    p.set_defaults(func=cmd_rank_exact)
-    p = rsub.add_parser("heuristic", help="out-degree order or local search")
-    p.add_argument("file", help="tournament file")
+    command(rsub, "exact", "exact optimum by subset DP", cmd_rank_exact,
+            file="tournament file")
+    p = command(rsub, "heuristic", "out-degree order or local search",
+                cmd_rank_heuristic, file="tournament file")
     p.add_argument(
         "--strategy", choices=["out-degree", "local-search"], default="local-search"
     )
-    _add_pretty(p)
-    p.set_defaults(func=cmd_rank_heuristic)
-    p = rsub.add_parser("baseline", help="exact optima of seeded random tournaments")
+    p = command(rsub, "baseline", "exact optima of seeded random tournaments",
+                cmd_rank_baseline)
     p.add_argument("--n", type=integer, required=True)
     p.add_argument("--trials", type=integer, default=100)
     p.add_argument("--seed", type=integer, default=0)
-    _add_pretty(p)
-    p.set_defaults(func=cmd_rank_baseline)
 
     disc = sub.add_parser("discrepancy", help="subset mixing and global bounds")
     csub = disc.add_subparsers(dest="subcommand", required=True)
-    p = csub.add_parser("sweep", help="every (A, B, neither) assignment")
-    p.add_argument("file", help="tournament file")
-    _add_pretty(p)
-    p.set_defaults(func=cmd_discrepancy_sweep)
-    p = csub.add_parser("sample", help="seeded random assignments")
-    p.add_argument("file", help="tournament file")
+    command(csub, "sweep", "every (A, B, neither) assignment", cmd_discrepancy_sweep,
+            file="tournament file")
+    p = command(csub, "sample", "seeded random assignments", cmd_discrepancy_sample,
+                file="tournament file")
     p.add_argument("--samples", type=integer, default=100_000)
     p.add_argument("--seed", type=integer, default=0)
-    _add_pretty(p)
-    p.set_defaults(func=cmd_discrepancy_sample)
-    p = csub.add_parser("bounds", help="ranking-gap and maximum-consistency bounds")
-    p.add_argument("file", help="tournament file")
+    p = command(csub, "bounds", "ranking-gap and maximum-consistency bounds",
+                cmd_discrepancy_bounds, file="tournament file")
     p.add_argument("--c-value", type=integer, default=None,
                    help="use this C(T) value (or lower bound) instead of computing one")
-    _add_pretty(p)
-    p.set_defaults(func=cmd_discrepancy_bounds)
 
     pipe = sub.add_parser("pipeline", help="end-to-end construction and verification")
     psub = pipe.add_subparsers(dest="subcommand", required=True)
-    p = psub.add_parser("paley", help="Paley set -> Cayley tournament -> all checks")
+    p = command(psub, "paley", "Paley set -> Cayley tournament -> all checks",
+                cmd_pipeline_paley)
     p.add_argument("--p", type=integer, required=True)
     p.add_argument("--k", type=integer, default=1)
     p.add_argument("--samples", type=integer, default=PIPELINE_SAMPLES,
-                   help="sampled mixing checks above the sweep cap (default 20000)")
+                   help="sampled mixing checks above the sweep cap"
+                   " (default %(default)s)")
     p.add_argument("--rank-cap", type=integer, default=PIPELINE_RANK_CAP,
-                   help="largest n ranked exactly in the pipeline (default 20)")
+                   help="largest n ranked exactly in the pipeline"
+                   " (default %(default)s)")
     p.add_argument("--seed", type=integer, default=0)
-    _add_pretty(p)
-    p.set_defaults(func=cmd_pipeline_paley)
+
+    for p in reports:
+        p.add_argument(
+            "--pretty", action="store_true", help="render the report as aligned text"
+        )
     return parser
 
 
@@ -453,12 +453,12 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     inputs: dict[str, str] = {}
     try:
-        results, code = args.func(args, inputs)
+        results, passed = args.func(args, inputs)
         if results is not None:
             _emit(f"{args.command} {args.subcommand}", inputs, results, started,
                   args.pretty)
-        return code
-    except Exception as e:  # exit 1 belongs to the verdicts commands return
+        return 0 if passed else 1
+    except Exception as e:  # exit 1 belongs to a failed verdict alone
         kind = "" if isinstance(e, (ValueError, OSError)) else f"{type(e).__name__}: "
         print(f"drt: error: {kind}{e}", file=sys.stderr)
         raise SystemExit(2) from None

@@ -174,6 +174,15 @@ def test_verify_failure_exits_1(capsys, tmp_path):
     assert rep["results"]["shds"]["ok"] is False
 
 
+def test_tourney_verify_failure_exits_1(capsys, tmp_path):
+    tpath = str(tmp_path / "r9.txt")
+    assert main(["tourney", "random", "--n", "9", "--seed", "3", "-o", tpath]) == 0
+    code, rep = report_of(capsys, ["tourney", "verify", tpath])
+    assert code == 1
+    assert rep["results"]["doubly_regular"]["ok"] is False
+    assert rep["results"]["gram"]["ok"] is False
+
+
 def test_cayley_rejects_non_skew_with_exit_1(tmp_path, capsys):
     path = tmp_path / "notskew.txt"
     path.write_text("Z7\n2 3 5\n")
@@ -425,14 +434,38 @@ def test_rank_baseline_report(capsys):
     assert rep2["results"] == res
 
 
+def _transitive_file(tmp_path: Path, n: int) -> str:
+    """Path of a file holding the transitive tournament on n vertices."""
+    path = tmp_path / f"trans{n}.txt"
+    rows = ["".join("1" if j > i else "0" for j in range(n)) for i in range(n)]
+    path.write_text(f"{n}\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
 def test_discrepancy_sweep_violation_exits_1(capsys, tmp_path):
     # transitive tournament: mixing fails somewhere
-    tpath = tmp_path / "trans.txt"
-    rows = ["".join("1" if j > i else "0" for j in range(8)) for i in range(8)]
-    tpath.write_text("8\n" + "\n".join(rows) + "\n")
-    code, rep = report_of(capsys, ["discrepancy", "sweep", str(tpath)])
+    code, rep = report_of(capsys, ["discrepancy", "sweep", _transitive_file(tmp_path, 8)])
     assert code == 1
     assert rep["results"]["violations"] > 0
+
+
+def test_discrepancy_sample_violation_exits_1(capsys, tmp_path):
+    argv = ["discrepancy", "sample", _transitive_file(tmp_path, 12), "--samples", "2000"]
+    code, rep = report_of(capsys, argv)
+    assert code == 1
+    assert rep["results"]["violations"] > 0
+
+
+def test_discrepancy_bounds_gap_failure_exits_1(capsys, tmp_path):
+    # Past DP_CAP local search ranks the transitive tournament in its own
+    # order, and the mirror puts every arc backwards: the gap is binom(n, 2),
+    # above n^1.5 log2(2n) at n = 400.
+    code, rep = report_of(capsys, ["discrepancy", "bounds", _transitive_file(tmp_path, 400)])
+    assert code == 1
+    res = rep["results"]
+    assert res["c_method"] == "local-search"
+    assert res["sigma_gap"]["gap"] == 400 * 399 // 2
+    assert res["sigma_gap"]["holds"] is False
 
 
 def test_discrepancy_sample_and_bounds(capsys, tmp_path):

@@ -27,7 +27,7 @@ from drt.discrepancy import (
 )
 from drt.diffset import paley_set
 from drt.groups import ORDER_CAP, make_field
-from drt.ranking import DP_CAP, _dp_layers, exact_max_consistent
+from drt.ranking import DP_CAP, _dp_layers, exact_max_consistent, heuristic_rank
 from drt.rng import trit_block
 from drt.tourney import (
     _F32_EXACT,
@@ -605,3 +605,12 @@ def test_bound_crossover_scan():
     first = next(n for n in range(3, 3000, 4) if not bound_is_vacuous(n))
     assert first == 2395
     assert bound_is_vacuous(2391)
+
+
+@pytest.mark.parametrize("n", [2393, 2394])
+def test_theorem_bound_at_the_crossover(n):
+    # bound_is_vacuous flips between these two n; the check must flag the same
+    t = random_tournament(n, 5)
+    b = check_theorem_bound(t, heuristic_rank(t, strategy="out-degree").value)
+    assert b.vacuous == bound_is_vacuous(n) == (n == 2393)
+    assert b.holds

@@ -149,6 +149,11 @@ def test_format_group_spec_round_trips():
     assert format_group_spec((2, 4)) == "Z2xZ4"
 
 
+def test_field_str_is_its_order():
+    assert str(make_field(3, 3)) == "F_27"
+    assert str(make_field(7, 1)) == "F_7"
+
+
 def test_is_prime_small_domain():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
