@@ -601,7 +601,8 @@ def test_theorem_bound_validates_c_value(t7):
 
 
 def test_bound_crossover_scan():
-    # the additive slack n^1.5 log2(2n) stays above binom(n,2)/2 until n=2395
+    # over the DRT orders n = 3 (mod 4), the additive slack n^1.5 log2(2n)
+    # stays above binom(n,2)/2 until n=2395 (over all n, until n=2394)
     first = next(n for n in range(3, 3000, 4) if not bound_is_vacuous(n))
     assert first == 2395
     assert bound_is_vacuous(2391)
