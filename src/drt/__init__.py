@@ -30,9 +30,7 @@ from .discrepancy import (
     edge_count,
     exhaustive_mixing_check,
     gap_bound,
-    mask_vertices,
     sampled_mixing_check,
-    vertex_mask,
 )
 from .groups import (
     AbelianGroup,
@@ -61,9 +59,11 @@ from .tourney import (
     common_out_neighbors,
     format_tournament,
     is_doubly_regular,
+    mask_vertices,
     parse_tournament,
     random_tournament,
     signed_adjacency,
+    vertex_mask,
     verify_gram_identities,
 )
 from .verdict import Verdict

@@ -134,15 +134,11 @@ def _flatten(prefix: str, obj, lines: list[tuple[str, object]]) -> None:
         lines.append((prefix.rstrip("."), obj))
 
 
-def _verdict_dict(v) -> dict:
-    return {"ok": v.ok, "reason": v.reason}
-
-
 def _shds_dict(d) -> tuple[dict, bool]:
     """The group, order and skew Hadamard verdict of `d`, and whether it holds."""
     shds = is_shds(d)
     results = {"group": format_group_spec(d.group.moduli), "n": d.group.order,
-               "shds": _verdict_dict(shds)}
+               "shds": dataclasses.asdict(shds)}
     return results, shds.ok
 
 
@@ -150,8 +146,8 @@ def _verify_dict(t: Tournament) -> tuple[dict, bool]:
     """The double regularity and Gram verdicts of `t`, and whether both hold."""
     dr = is_doubly_regular(t)
     gram = verify_gram_identities(t)
-    results = {"n": t.n, "doubly_regular": _verdict_dict(dr),
-               "gram": _verdict_dict(gram)}
+    results = {"n": t.n, "doubly_regular": dataclasses.asdict(dr),
+               "gram": dataclasses.asdict(gram)}
     return results, dr.ok and gram.ok
 
 

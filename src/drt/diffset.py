@@ -51,8 +51,7 @@ class CandidateSet:
     elements: frozenset[Element]
 
     def __post_init__(self):
-        if not isinstance(self.elements, frozenset):
-            object.__setattr__(self, "elements", frozenset(self.elements))
+        object.__setattr__(self, "elements", frozenset(self.elements))
         for x in self.elements:
             self.group.check_element(x)
 

@@ -32,6 +32,9 @@ SAMPLE_CAP = 900  # keeps the int64 cross-multiplied fraction compares exact
 _SAMPLE_CHUNK_TRITS = 1 << 16
 
 # A running worst pair: (d_+^2, n |A| |B|, (A, B)), with no pair before the first.
+# It starts at (0, 1, None), and no candidate's d_+^2 is negative, so the
+# worst-pair prunes, which skip candidates strictly below it, cannot fire
+# before the first pair.
 _Best = tuple[int, int, Optional[tuple[int, int]]]
 
 
@@ -123,13 +126,12 @@ def exhaustive_mixing_check(t: Tournament) -> MixingReport:
     col = _subset_sums(_signed(t))  # |col| <= n - 1 <= 15
     masks = np.arange(1 << n, dtype=np.uint16)
     sizes = np.bitwise_count(masks)
-    pairs = violations = 0
+    violations = 0
     best: _Best = (0, 1, None)
     for c in range(1, n):
         batch_violations, best = _sweep_batch(col, masks, sizes, c, best)
-        pairs += math.comb(n, c) * ((1 << c) - 1)
         violations += batch_violations
-    return MixingReport("exhaustive", pairs, violations, *best)
+    return MixingReport("exhaustive", 3**n - 2 ** (n + 1) + 1, violations, *best)
 
 
 def _subset_sums(x: np.ndarray) -> np.ndarray:
@@ -199,7 +201,7 @@ def _sweep_batch(
         key *= weight
         cols = np.flatnonzero(key == key.max())
         num, den = int(top[cols[0]]) ** 2, n * (n - c) * int(b_sizes[cols[0]])
-        if best[2] is not None and num * best[1] < best[0] * den:
+        if num * best[1] < best[0] * den:
             continue  # no pair of this slice can become the worst pair
         first = (np.maximum(d[:, cols], 0) == top[cols]).argmax(axis=0)
         k = int(np.argmin(first))
@@ -320,7 +322,7 @@ def sampled_mixing_check(t: Tournament, samples: int, seed: int) -> MixingReport
         violations += int((dd > den).sum())
         tied = _rows_at_max(dd, den)
         first = tied[0]
-        if best[2] is not None and dd[first] * best[1] < best[0] * den[first]:
+        if dd[first] * best[1] < best[0] * den[first]:
             continue  # no row of this chunk can become the worst pair
         sides = trits[valid[tied]]
         # lexsort's last key is its primary: A's highest vertex first.

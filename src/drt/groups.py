@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,8 +37,7 @@ class AbelianGroup:
     moduli: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.moduli, tuple):
-            object.__setattr__(self, "moduli", tuple(self.moduli))
+        object.__setattr__(self, "moduli", tuple(map(operator.index, self.moduli)))
         if not self.moduli:
             raise ValueError("group needs at least one cyclic factor")
         if any(m < 2 for m in self.moduli):
@@ -138,7 +138,7 @@ def _decimal(text: str) -> int:
 
 def parse_group_spec(spec: str) -> tuple[int, ...]:
     """Parse 'Z7', 'Z3^3', or 'Z2xZ3x...' (case-insensitive, no whitespace)."""
-    if spec != spec.strip() or any(c.isspace() for c in spec):
+    if any(c.isspace() for c in spec):
         raise ValueError(f"group spec may not contain whitespace: {spec!r}")
     moduli: list[int] = []
     order = 1

@@ -24,12 +24,8 @@ so the same ranks (Hirschberg's linear-space idea: keep what the backtrack
 needs and recompute the rest on a smaller instance).  The blocks are 512
 rows at every n, so past what the DP must hold at once (the whole table up
 to n = 20, the two largest adjacent layers above) the scratch stays within
-about 0.9 MiB at every n up to the cap.  Measured in-process on one core of
-a 2-vCPU VM (Python 3.11, numpy 2.4), median of 21 runs (9 at n = 24) on a
-seeded random tournament: 9 ms at n = 20, 33 ms at n = 22, 70 ms at
-n = 23, 0.14 s at n = 24.  The tracemalloc peak of the whole call is
-1.43x the 2^n-byte table at n = 20, 0.54x at n = 22, 0.48x at n = 23 and
-0.43x at n = 24.
+about 0.9 MiB at every n up to the cap.  README's "Sizes and budgets"
+gives the measured times and peaks.
 """
 
 from __future__ import annotations

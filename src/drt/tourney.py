@@ -1,7 +1,9 @@
 """Tournaments as packed bit rows; Cayley construction and regularity checks.
 
 Adjacency lives in Python integers used as bitsets: bit j of ``rows[i]`` is 1
-exactly when the edge i -> j is present.  `_pack` (0/1 matrix to rows) and
+exactly when the edge i -> j is present.  A `Tournament` passes n and every
+row through `operator.index`, so a list or numpy integers give the same record
+as a tuple of ints, and floats are refused.  `_pack` (0/1 matrix to rows) and
 `_signed` (rows to S = M - M^T, decoded once as int8) are the only converters;
 every numeric check and kernel reads that S, and `signed_adjacency` and
 `adjacency_matrix` widen it to int64 for callers.  All verification is exact:
@@ -18,6 +20,7 @@ only at n = 1 or n = 3 (mod 4).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -50,10 +53,9 @@ class Tournament:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one vertex, got n = {self.n}")
-        if self.n > ORDER_CAP:  # before _signed decodes an n x n matrix
-            raise ValueError(f"n = {self.n} is above ORDER_CAP = {ORDER_CAP}")
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "rows", tuple(map(operator.index, self.rows)))
+        _check_vertex_count(self.n)  # before _signed decodes an n x n matrix
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
         full = (1 << self.n) - 1
@@ -94,6 +96,14 @@ class Tournament:
 
     def out_degree(self, v: int) -> int:
         return self.rows[v].bit_count()
+
+
+def _check_vertex_count(n: int) -> None:
+    """Refuse an order outside 1..ORDER_CAP, before anything is built."""
+    if n < 1:
+        raise ValueError(f"need at least one vertex, got n = {n}")
+    if n > ORDER_CAP:
+        raise ValueError(f"n = {n} is above ORDER_CAP = {ORDER_CAP}")
 
 
 def _signed(t: Tournament) -> np.ndarray:
@@ -242,10 +252,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     one draw, so the construction is reproducible bit for bit.  Orders above
     ORDER_CAP are refused before anything is drawn.
     """
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got n = {n}")
-    if n > ORDER_CAP:
-        raise ValueError(f"n = {n} is above ORDER_CAP = {ORDER_CAP}")
+    _check_vertex_count(n)
     coins = coin_block(seed, 0, n * (n - 1) // 2)
     # a boolean mask selects the upper triangle in row-major pair order
     upper = np.arange(n)[:, None] < np.arange(n)
@@ -285,7 +292,7 @@ def parse_tournament(text: str) -> Tournament:
     for extra, line in enumerate(lines[n + 1 :], start=n + 2):
         if line.strip():
             raise ValueError(f"line {extra}: unexpected content {line.strip()!r}")
-    return Tournament(n, tuple(rows))  # rejects self-loops and bad orientations
+    return Tournament(n, rows)  # rejects self-loops and bad orientations
 
 
 def format_tournament(t: Tournament) -> str:

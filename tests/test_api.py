@@ -83,6 +83,22 @@ def test_sources_parse_at_the_declared_python_floor():
         ast.parse(path.read_text(), filename=str(path), feature_version=version)
 
 
+def test_version_has_one_owner():
+    # drt.__version__ is the version; pyproject.toml reads it, so the
+    # reports' tool_version and the package metadata cannot disagree
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    assert project, "pyproject.toml has no [project] table"
+    assert not re.search(r"^version\s*=", project[1], re.M)
+    assert re.search(r'^dynamic = \[.*"version".*\]$', project[1], re.M)
+    dynamic = re.search(
+        r"^\[tool\.setuptools\.dynamic\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    assert dynamic, "pyproject.toml has no [tool.setuptools.dynamic] table"
+    assert re.search(
+        r'^version = \{\s*attr = "drt\.__version__"\s*\}$', dynamic[1], re.M)
+    assert re.fullmatch(r"\d+\.\d+\.\d+", drt.__version__)
+
+
 OPENSSL_MODULES = {"hashlib", "_hashlib"}
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import re
 
 import numpy as np
@@ -36,10 +37,20 @@ def test_abelian_group_is_where_moduli_are_checked():
 
 
 def test_abelian_group_stores_its_moduli_as_a_tuple():
-    g = AbelianGroup([7])
-    assert g.moduli == (7,)
-    assert g == AbelianGroup((7,))
-    assert hash(g) == hash(AbelianGroup((7,)))
+    for moduli in ([7], (np.int64(7),), np.array([7])):
+        g = AbelianGroup(moduli)
+        assert g.moduli == (7,)
+        assert [type(m) for m in g.moduli] == [int]
+        assert g == AbelianGroup((7,))
+        assert hash(g) == hash(AbelianGroup((7,)))
+        assert type(g.order) is int
+        assert json.dumps({"order": g.order, "group": str(g)}) == (
+            '{"order": 7, "group": "Z7"}')
+
+
+def test_abelian_group_refuses_float_moduli():
+    with pytest.raises(TypeError):
+        AbelianGroup((7.0,))
 
 
 def test_order_is_product_of_moduli():
@@ -105,6 +116,9 @@ _SPEC_REFUSALS = {
     "Z0": "modulus must be >= 2 in group spec 'Z0'",
     "Q8": "bad group spec token 'Q8' in 'Q8'",
     "Z7 x Z3": "group spec may not contain whitespace: 'Z7 x Z3'",
+    "Z7 ": "group spec may not contain whitespace: 'Z7 '",
+    " Z7": "group spec may not contain whitespace: ' Z7'",
+    "Z7\t": "group spec may not contain whitespace: 'Z7\\t'",
     "Z": "bad group spec token 'Z' in 'Z'",
     "7": "bad group spec token '7' in '7'",
     "Z7^": "bad group spec token 'Z7^' in 'Z7^'",

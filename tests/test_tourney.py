@@ -17,6 +17,7 @@ from drt.diffset import (
     paley_set,
 )
 from drt.groups import make_field, make_group
+from drt.ranking import exact_max_consistent
 from drt.rng import SplitMix64
 import drt.tourney
 from drt.tourney import (
@@ -56,6 +57,20 @@ def test_tournament_validation():
         Tournament(2, (0b110, 0b00))  # bit out of range
     with pytest.raises(ValueError, match="expected 2 rows, got 1"):
         Tournament(2, (0b10,))
+
+
+def test_tournament_normalises_its_integer_fields():
+    t = cycle3()
+    for n, rows in [(3, [2, 4, 1]), (np.int64(3), np.array([2, 4, 1]))]:
+        u = Tournament(n, rows)
+        assert u == t and hash(u) == hash(t)
+        assert type(u.n) is int and type(u.rows) is tuple
+        assert [type(r) for r in u.rows] == [int] * 3
+        assert exact_max_consistent(u).value == 2
+    with pytest.raises(TypeError):
+        Tournament(3, (2.0, 4, 1))
+    with pytest.raises(TypeError):
+        Tournament(3.0, (2, 4, 1))
 
 
 def test_mask_vertices_unpacks_and_refuses_negative_masks():
