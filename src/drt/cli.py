@@ -4,11 +4,13 @@ Report-emitting subcommands print a single JSON object to stdout:
 
     {schema_version, tool_version, command, inputs, results, wall_time_ms}
 
-A command returns its `results` (None when it writes a file instead) and
-whether its verdicts passed.  `main` times it, records the files it reads and
-wraps the results in this envelope.  `main` alone sets the exit code: 0 when
-every check passes, 1 when a verdict fails or a violation is found, 2 for
-usage errors and every exception, printed as one `drt: error:` line.
+`main` reads, hashes and parses every input file a command names, and
+passes the parsed objects to its handler.  A handler returns its `results`
+(None when it writes a file instead) and whether its verdicts passed; `main`
+times it and wraps the results in this envelope.  `main` alone sets the
+exit code: 0 when every check passes, 1 when a verdict fails or a violation
+is found, 2 for usage errors and every exception, printed as one
+`drt: error:` line.
 
 `inputs` maps each input path to its sha256; `results` is deterministic given
 the same inputs and seed (wall_time_ms is the one field outside that
@@ -69,8 +71,9 @@ from .tourney import (
 PIPELINE_RANK_CAP = 20
 PIPELINE_SAMPLES = 20_000
 
-# A command's report `results` (None when it writes a file instead) and whether
-# its verdicts passed; `main` maps that to exit 0 or 1, and any exception to 2.
+# A handler's report `results` (None when it writes a file instead) and whether
+# its verdicts passed, given the objects `main` parsed from its input files;
+# `main` maps that to exit 0 or 1, and any exception to 2.
 Outcome = tuple[Optional[dict], bool]
 
 
@@ -151,9 +154,10 @@ def _verify_dict(t: Tournament) -> tuple[dict, bool]:
     return results, dr.ok and gram.ok
 
 
-def _rank_dict(t: Tournament, r: RankingResult) -> dict:
+def _rank_dict(t: Tournament, r: RankingResult) -> tuple[dict, bool]:
+    """The ranking `r` of `t` as a report entry; a ranking has no verdict."""
     total = t.n * (t.n - 1) // 2
-    return {
+    results = {
         "n": t.n,
         "value": r.value,
         "ratio": r.value / total if total else None,
@@ -161,6 +165,7 @@ def _rank_dict(t: Tournament, r: RankingResult) -> dict:
         "ranking": list(r.ranking),
         "work": r.work,
     }
+    return results, True
 
 
 def _mixing_dict(t: Tournament, report) -> tuple[dict, bool]:
@@ -197,23 +202,22 @@ def _bounds_dict(t: Tournament, ranking, c_value: int) -> tuple[dict, bool]:
 # ---------------------------------------------------------------- diffset
 
 
-def cmd_diffset_paley(args, inputs: dict[str, str]) -> Outcome:
+def cmd_diffset_paley(args) -> Outcome:
     d = paley_set(make_field(args.p, args.k))
     _write_output(format_diffset(d), args.output)
     return None, True
 
 
-def cmd_diffset_verify(args, inputs: dict[str, str]) -> Outcome:
-    d = _load(args.file, inputs, parse_diffset)
+def cmd_diffset_verify(args, d) -> Outcome:
     results, ok = _shds_dict(d)
     results.update(size=len(d.elements), indices=list(d.indices))
     return results, ok
 
 
-def cmd_diffset_classify(args, inputs: dict[str, str]) -> Outcome:
-    classes = classify([_load(path, inputs, parse_diffset) for path in args.files])
+def cmd_diffset_classify(args, *sets) -> Outcome:
+    classes = classify(sets)
     results = {
-        "files": list(args.files),
+        "files": list(args.paths),
         "class_count": len(classes),
         "classes": classes,
     }
@@ -223,8 +227,7 @@ def cmd_diffset_classify(args, inputs: dict[str, str]) -> Outcome:
 # ---------------------------------------------------------------- tourney
 
 
-def cmd_tourney_cayley(args, inputs: dict[str, str]) -> Outcome:
-    d = _load(args.file, inputs, parse_diffset)
+def cmd_tourney_cayley(args, d) -> Outcome:
     skew = is_skew(d)
     if skew:
         _write_output(format_tournament(cayley_tournament(d)), args.output)
@@ -233,11 +236,11 @@ def cmd_tourney_cayley(args, inputs: dict[str, str]) -> Outcome:
     return None, skew.ok
 
 
-def cmd_tourney_verify(args, inputs: dict[str, str]) -> Outcome:
-    return _verify_dict(_load(args.file, inputs, parse_tournament))
+def cmd_tourney_verify(args, t: Tournament) -> Outcome:
+    return _verify_dict(t)
 
 
-def cmd_tourney_random(args, inputs: dict[str, str]) -> Outcome:
+def cmd_tourney_random(args) -> Outcome:
     t = random_tournament(args.n, args.seed)
     _write_output(format_tournament(t), args.output)
     return None, True
@@ -246,19 +249,15 @@ def cmd_tourney_random(args, inputs: dict[str, str]) -> Outcome:
 # ---------------------------------------------------------------- rank
 
 
-def cmd_rank_exact(args, inputs: dict[str, str]) -> Outcome:
-    t = _load(args.file, inputs, parse_tournament)
-    r = exact_max_consistent(t)
-    return _rank_dict(t, r), True
+def cmd_rank_exact(args, t: Tournament) -> Outcome:
+    return _rank_dict(t, exact_max_consistent(t))
 
 
-def cmd_rank_heuristic(args, inputs: dict[str, str]) -> Outcome:
-    t = _load(args.file, inputs, parse_tournament)
-    r = heuristic_rank(t, strategy=args.strategy)
-    return _rank_dict(t, r), True
+def cmd_rank_heuristic(args, t: Tournament) -> Outcome:
+    return _rank_dict(t, heuristic_rank(t, strategy=args.strategy))
 
 
-def cmd_rank_baseline(args, inputs: dict[str, str]) -> Outcome:
+def cmd_rank_baseline(args) -> Outcome:
     results = dataclasses.asdict(random_baseline(args.n, args.trials, args.seed))
     del results["values"]
     return results, True
@@ -267,20 +266,17 @@ def cmd_rank_baseline(args, inputs: dict[str, str]) -> Outcome:
 # ---------------------------------------------------------------- discrepancy
 
 
-def cmd_discrepancy_sweep(args, inputs: dict[str, str]) -> Outcome:
-    t = _load(args.file, inputs, parse_tournament)
+def cmd_discrepancy_sweep(args, t: Tournament) -> Outcome:
     return _mixing_dict(t, exhaustive_mixing_check(t))
 
 
-def cmd_discrepancy_sample(args, inputs: dict[str, str]) -> Outcome:
-    t = _load(args.file, inputs, parse_tournament)
+def cmd_discrepancy_sample(args, t: Tournament) -> Outcome:
     results, ok = _mixing_dict(t, sampled_mixing_check(t, args.samples, args.seed))
     results["seed"] = args.seed
     return results, ok
 
 
-def cmd_discrepancy_bounds(args, inputs: dict[str, str]) -> Outcome:
-    t = _load(args.file, inputs, parse_tournament)
+def cmd_discrepancy_bounds(args, t: Tournament) -> Outcome:
     if args.c_value is not None:
         check_theorem_bound(t, args.c_value)  # refuse its range before ranking
     r = (exact_max_consistent(t) if t.n <= DP_CAP
@@ -299,7 +295,7 @@ def cmd_discrepancy_bounds(args, inputs: dict[str, str]) -> Outcome:
 # ---------------------------------------------------------------- pipeline
 
 
-def cmd_pipeline_paley(args, inputs: dict[str, str]) -> Outcome:
+def cmd_pipeline_paley(args) -> Outcome:
     if args.samples < 1:  # refused whether or not q is sampled
         raise ValueError(f"need at least one sample, got {args.samples}")
     if args.rank_cap < 0:
@@ -320,7 +316,7 @@ def cmd_pipeline_paley(args, inputs: dict[str, str]) -> Outcome:
     t = cayley_tournament(d)
     verify, verify_ok = _verify_dict(t)
     r = exact_max_consistent(t) if exact else heuristic_rank(t, strategy="local-search")
-    rank = _rank_dict(t, r)
+    rank, _ = _rank_dict(t, r)
     if not exact:
         rank = {"skipped": f"exact ranking skipped (n = {n} > cap {args.rank_cap})",
                 "lower_bound": rank}
@@ -355,15 +351,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     reports: list[argparse.ArgumentParser] = []
 
-    def command(group, name: str, help: str, func, file: str | None = None,
-                report: bool = True) -> argparse.ArgumentParser:
-        """Subcommand `name` of `group`, run by `func`.  `file`, when given, is
-        the help of its input file positional ("" for none).  A report command
-        takes `--pretty` after its other options."""
+    def command(group, name: str, help: str, func, parse=None, file: str = "",
+                nargs: int | str = 1, report: bool = True) -> argparse.ArgumentParser:
+        """Subcommand `name` of `group`, run by `func`.  A command that reads
+        input files names the `parse` function of their text and takes `nargs`
+        paths (help `file`); `main` reads, hashes and parses each path in
+        order and calls `func(args, *parsed)`.  A report command takes
+        `--pretty` after its other options."""
         p = group.add_parser(name, help=help)
-        if file is not None:
-            p.add_argument("file", help=file)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parse=parse, paths=())
+        if parse is not None:
+            p.add_argument("paths", nargs=nargs, help=file,
+                           metavar="file" if nargs == 1 else "files")
         if report:
             reports.append(p)
         return p
@@ -377,18 +376,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extension degree (default %(default)s)")
     p.add_argument("-o", "--output", help="write here instead of stdout")
     command(dsub, "verify", "full skew-difference-set check", cmd_diffset_verify,
-            file="")
-    p = command(dsub, "classify", "group diffset files into equivalence classes",
-                cmd_diffset_classify)
-    p.add_argument("files", nargs="+")
+            parse_diffset)
+    command(dsub, "classify", "group diffset files into equivalence classes",
+            cmd_diffset_classify, parse_diffset, nargs="+")
 
     tourney = sub.add_parser("tourney", help="tournament construction and checks")
     tsub = tourney.add_subparsers(dest="subcommand", required=True)
     p = command(tsub, "cayley", "build the Cayley tournament of a skew set",
-                cmd_tourney_cayley, file="diffset file", report=False)
+                cmd_tourney_cayley, parse_diffset, "diffset file", report=False)
     p.add_argument("-o", "--output")
     command(tsub, "verify", "double regularity and product identities",
-            cmd_tourney_verify, file="tournament file")
+            cmd_tourney_verify, parse_tournament, "tournament file")
     p = command(tsub, "random", "seeded uniform random tournament",
                 cmd_tourney_random, report=False)
     p.add_argument("--n", type=integer, required=True)
@@ -398,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     rank = sub.add_parser("rank", help="maximum-consistency rankings")
     rsub = rank.add_subparsers(dest="subcommand", required=True)
     command(rsub, "exact", "exact optimum by subset DP", cmd_rank_exact,
-            file="tournament file")
+            parse_tournament, "tournament file")
     p = command(rsub, "heuristic", "out-degree order or local search",
-                cmd_rank_heuristic, file="tournament file")
+                cmd_rank_heuristic, parse_tournament, "tournament file")
     p.add_argument(
         "--strategy", choices=["out-degree", "local-search"], default="local-search"
     )
@@ -413,13 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
     disc = sub.add_parser("discrepancy", help="subset mixing and global bounds")
     csub = disc.add_subparsers(dest="subcommand", required=True)
     command(csub, "sweep", "every (A, B, neither) assignment", cmd_discrepancy_sweep,
-            file="tournament file")
+            parse_tournament, "tournament file")
     p = command(csub, "sample", "seeded random assignments", cmd_discrepancy_sample,
-                file="tournament file")
+                parse_tournament, "tournament file")
     p.add_argument("--samples", type=integer, default=100_000)
     p.add_argument("--seed", type=integer, default=0)
     p = command(csub, "bounds", "ranking-gap and maximum-consistency bounds",
-                cmd_discrepancy_bounds, file="tournament file")
+                cmd_discrepancy_bounds, parse_tournament, "tournament file")
     p.add_argument("--c-value", type=integer, default=None,
                    help="use this C(T) value (or lower bound) instead of computing one")
 
@@ -449,7 +447,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     inputs: dict[str, str] = {}
     try:
-        results, passed = args.func(args, inputs)
+        parsed = [_load(path, inputs, args.parse) for path in args.paths]
+        results, passed = args.func(args, *parsed)
         if results is not None:
             _emit(f"{args.command} {args.subcommand}", inputs, results, started,
                   args.pretty)

@@ -103,8 +103,9 @@ class AbelianGroup:
 
 
 def make_group(moduli) -> AbelianGroup:
-    """AbelianGroup from any iterable of integer-like moduli."""
-    return AbelianGroup(tuple(int(m) for m in moduli))
+    """AbelianGroup from any iterable of integer moduli (numpy integers too);
+    `AbelianGroup` refuses a float or a string with TypeError."""
+    return AbelianGroup(tuple(moduli))
 
 
 def _check_order(modulus: int, power: int, what: str, order: int = 1) -> int:

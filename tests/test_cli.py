@@ -237,6 +237,41 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+USAGES = [
+    "usage: drt diffset paley [-h] --p P [--k K] [-o OUTPUT]",
+    "usage: drt diffset verify [-h] [--pretty] file",
+    "usage: drt diffset classify [-h] [--pretty] files [files ...]",
+    "usage: drt tourney cayley [-h] [-o OUTPUT] file",
+    "usage: drt tourney verify [-h] [--pretty] file",
+    "usage: drt tourney random [-h] --n N [--seed SEED] [-o OUTPUT]",
+    "usage: drt rank exact [-h] [--pretty] file",
+    "usage: drt rank heuristic [-h] [--strategy {out-degree,local-search}]"
+    " [--pretty] file",
+    "usage: drt rank baseline [-h] --n N [--trials TRIALS] [--seed SEED] [--pretty]",
+    "usage: drt discrepancy sweep [-h] [--pretty] file",
+    "usage: drt discrepancy sample [-h] [--samples SAMPLES] [--seed SEED]"
+    " [--pretty] file",
+    "usage: drt discrepancy bounds [-h] [--c-value C_VALUE] [--pretty] file",
+    "usage: drt pipeline paley [-h] --p P [--k K] [--samples SAMPLES]"
+    " [--rank-cap RANK_CAP] [--seed SEED] [--pretty]",
+]
+
+
+def test_subcommand_usages(monkeypatch):
+    # wide enough that no usage wraps, so the lines do not depend on how a
+    # Python version wraps them
+    monkeypatch.setenv("COLUMNS", "200")
+
+    def subparsers(parser):
+        action = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        return action.choices.values()
+
+    usages = [sub.format_usage() for group in subparsers(cli.build_parser())
+              for sub in subparsers(group)]
+    assert usages == [f"{usage}\n" for usage in USAGES]
+
+
 def _typed_options(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
     """(argv, action) for every option of `parser` and its subparsers that
     converts its value: argv names the subcommand and fills its positionals
@@ -294,6 +329,9 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path):
     assert main(["tourney", "random", "--n", "17", "-o", str(t17)]) == 0
     huge = tmp_path / "huge.txt"
     huge.write_text("Z3^1000000000\n1\n")
+    good, malformed = tmp_path / "d7.txt", tmp_path / "bad7.txt"
+    good.write_text("Z7\n1 2 4\n")
+    malformed.write_text("Z7\n1 2 x\n")
     cases = [
         ["pipeline", "paley", "--p", "31", "--rank-cap", "31"],
         ["pipeline", "paley", "--p", "31", "--samples", "0"],
@@ -311,6 +349,7 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path):
         ["pipeline", "paley", "--p", "3", "--k", str(10**9)],
         ["diffset", "paley", "--p", "3", "--k", str(10**9)],
         ["diffset", "verify", str(huge)],
+        ["diffset", "classify", str(good), str(malformed)],  # a bad file after a good one
         # refused before the n-row list is allocated
         ["tourney", "random", "--n", str(10**9)],
     ]
@@ -380,6 +419,25 @@ def test_rank_exact_enters_the_dp_once(monkeypatch, capsys, tmp_path):
     assert main(["rank", "exact", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["method"] == "exact-dp"
     assert len(calls) == 1
+
+
+def test_main_parses_each_input_file_once_through_the_module_names(
+        monkeypatch, capsys, tmp_path):
+    # perfbench's tracer rebinds drt.cli.parse_tournament, so main must reach
+    # the parsers through cli's module-level names, once per file read
+    paths = _paley7_files(tmp_path)
+    calls = []
+    for name in ("parse_tournament", "parse_diffset"):
+        def counted(text, name=name, original=getattr(cli, name)):
+            calls.append(name)
+            return original(text)
+        monkeypatch.setattr(cli, name, counted)
+    assert main(["rank", "exact", paths["t7"]]) == 0
+    assert calls == ["parse_tournament"]
+    calls.clear()
+    assert main(["diffset", "classify", paths["d7"], paths["d7"]]) == 0
+    assert calls == ["parse_diffset"] * 2
+    capsys.readouterr()
 
 
 def test_pipeline_rank_cap_at_or_below_dp_cap_still_ranks_exactly(capsys):

@@ -33,7 +33,10 @@ def test_abelian_group_is_where_moduli_are_checked():
     for bad in [(), (7, 1), (1,), (0,)]:
         with pytest.raises(ValueError):
             AbelianGroup(bad)
-    assert make_group([7.0, "3"]).moduli == (7, 3)  # make_group only coerces
+    for bad in ([7.9], [7.0], ["3"]):  # make_group coerces nothing
+        with pytest.raises(TypeError):
+            make_group(bad)
+    assert make_group([np.int64(7)]) == AbelianGroup((7,))
 
 
 def test_abelian_group_stores_its_moduli_as_a_tuple():
