@@ -46,7 +46,6 @@ from .discrepancy import (
     check_sigma_gap,
     check_theorem_bound,
     exhaustive_mixing_check,
-    mask_vertices,
     sampled_mixing_check,
 )
 from .groups import _decimal, format_group_spec, make_field
@@ -63,6 +62,7 @@ from .tourney import (
     cayley_tournament,
     format_tournament,
     is_doubly_regular,
+    mask_vertices,
     parse_tournament,
     random_tournament,
     verify_gram_identities,

@@ -292,7 +292,7 @@ def parse_diffset(text: str) -> CandidateSet:
         raise ValueError(f"line 1: {e}") from None
     group = AbelianGroup(moduli)
     indices: set[int] = set()
-    if len(lines) > 1 and lines[1].strip():
+    if len(lines) > 1:
         for pos, token in enumerate(lines[1].split(), start=1):
             try:
                 idx = _decimal(token)

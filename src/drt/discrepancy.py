@@ -66,12 +66,9 @@ def check_mixing(t: Tournament, a_mask: int, b_mask: int) -> MixingCheck:
     overlap = a_mask & b_mask
     if overlap:
         raise ValueError(f"A and B overlap in vertices {mask_vertices(overlap)}")
-    if a_mask == 0 or b_mask == 0:
-        return MixingCheck(0, True)
     d = edge_count(t, a_mask, b_mask) - edge_count(t, b_mask, a_mask)
-    if d <= 0:
-        return MixingCheck(d, True)
-    return MixingCheck(d, d * d <= t.n * a_mask.bit_count() * b_mask.bit_count())
+    holds = d <= 0 or d * d <= t.n * a_mask.bit_count() * b_mask.bit_count()
+    return MixingCheck(d, holds)
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,8 @@ import numpy as np
 
 Element = tuple[int, ...]
 
-# Largest group or field order the constructors accept.  make_field builds
-# q = 65,536 in 0.43 s, and at that q the n x n boolean matrix behind
-# `tourney cayley` is already 4 GiB.
+# Largest group or field order the constructors accept: at that q the n x n
+# boolean matrix behind `tourney cayley` is already 4 GiB.
 ORDER_CAP = 2**16
 
 
@@ -168,18 +167,7 @@ def format_group_spec(moduli: tuple[int, ...]) -> str:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 # --------------------------------------------------------------------------
@@ -201,17 +189,15 @@ def _poly_is_irreducible(low_coeffs: tuple[int, ...], p: int) -> bool:
 
 
 def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    """Remainder of a by monic m, both constant-term-first."""
+    """Remainder of a by monic m, both constant-term-first, as exactly deg(m)
+    coefficients; a must have at least that many."""
     a = [c % p for c in a]
     dm = len(m) - 1
     while len(a) > dm:
-        c = a[-1]
+        c = a.pop()
         if c:
-            for i, mi in enumerate(m[:-1]):
-                a[len(a) - 1 - dm + i] = (a[len(a) - 1 - dm + i] - c * mi) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
+            for i, mi in enumerate(m[:-1], start=len(a) - dm):
+                a[i] = (a[i] - c * mi) % p
     return a
 
 
@@ -249,8 +235,7 @@ class FiniteField:
             if ai:
                 for j, bj in enumerate(b):
                     raw[i + j] += ai * bj
-        low = _poly_mod(raw, [*self.modulus, 1], p)
-        return tuple(low) + (0,) * (k - len(low))
+        return tuple(_poly_mod(raw, [*self.modulus, 1], p))
 
     def pow(self, a: Element, e: int) -> Element:
         if e < 0:

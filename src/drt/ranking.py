@@ -84,13 +84,8 @@ def check_ranking(t: Tournament, ranking) -> tuple[int, ...]:
 def count_consistent(t: Tournament, ranking) -> int:
     """Number of edges x -> y with ranking[x] < ranking[y]."""
     ranking = check_ranking(t, ranking)
-    order = [0] * t.n  # order[r-1] = vertex with rank r
-    for v, r in enumerate(ranking):
-        order[r - 1] = v
-    later = 0
-    count = 0
-    for r in range(t.n - 1, -1, -1):
-        v = order[r]
+    later = count = 0
+    for v in sorted(range(t.n), key=ranking.__getitem__, reverse=True):
         count += (t.rows[v] & later).bit_count()
         later |= 1 << v
     return count

@@ -99,12 +99,17 @@ def test_edge_count_rejects_overlap_and_junk(t7):
 # --------------------------------------------------------------- check_mixing
 
 
-def test_mixing_trivial_cases(t7):
+def test_mixing_trivial_cases(t7, transitive8):
     assert check_mixing(t7, 0, vertex_mask([1])) == (0, True)
+    assert check_mixing(t7, vertex_mask([1]), 0) == (0, True)
+    assert check_mixing(t7, 0, 0) == (0, True)
     # symmetric pair: d <= 0 direction always holds
     a, b = vertex_mask([1, 2, 4]), vertex_mask([3, 5, 6])
     d, holds = check_mixing(t7, a, b)
     assert d == -3 and holds
+    # d^2 = 256 > 8 * 4 * 4 = 128: only d <= 0 makes this hold
+    top, bottom = vertex_mask([0, 1, 2, 3]), vertex_mask([4, 5, 6, 7])
+    assert check_mixing(transitive8, bottom, top) == (-16, True)
 
 
 def test_mixing_integer_boundary():

@@ -177,6 +177,16 @@ def test_is_prime_small_domain():
         assert is_prime(n) == (n in primes)
 
 
+def test_is_prime_matches_a_sieve_up_to_the_order_cap():
+    sieve = np.ones(ORDER_CAP + 2, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, int((ORDER_CAP + 1) ** 0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = False
+    for n in range(-2, ORDER_CAP + 2):
+        assert is_prime(n) == (n >= 0 and bool(sieve[n])), n
+
+
 def test_prime_field_is_modular_arithmetic():
     f = make_field(11, 1)
     assert f.order == 11
@@ -197,6 +207,39 @@ def test_f27_modulus_is_lexicographically_least():
     assert len(irreducible) == 8
     f = make_field(3, 3)
     assert f.modulus == irreducible[0] == (1, 0, 2)
+
+
+def _poly_product(a, b, p):
+    """Schoolbook product of two constant-term-first coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def _monic(p, d):
+    """Every monic polynomial of degree d over F_p, constant term first."""
+    return [[*tail, 1] for tail in itertools.product(range(p), repeat=d)]
+
+
+@pytest.mark.parametrize(
+    "p,k",
+    [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 9) if p**k <= 256],
+)
+def test_field_modulus_is_the_least_non_product(p, k):
+    # a monic degree-k polynomial is reducible iff it is the product of monic
+    # factors of degrees d and k - d for some 1 <= d <= k/2
+    products = {
+        tuple(_poly_product(f, g, p)[:k])
+        for d in range(1, k // 2 + 1)
+        for f in _monic(p, d)
+        for g in _monic(p, k - d)
+    }
+    least = next(
+        low for low in itertools.product(range(p), repeat=k) if low not in products
+    )
+    assert make_field(p, k).modulus == least
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (7, 1)])
