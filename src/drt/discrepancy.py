@@ -376,4 +376,4 @@ def check_theorem_bound(t: Tournament, c_value: int) -> BoundCheck:
     if not (0 <= c_value <= total):
         raise ValueError(f"c_value {c_value} outside 0..{total}")
     rhs = total / 2 + gap_bound(t.n)
-    return BoundCheck(c_value, rhs, c_value <= rhs, rhs >= total)
+    return BoundCheck(c_value, rhs, c_value <= rhs, bound_is_vacuous(t.n))

@@ -71,6 +71,15 @@ def test_public_api():
         assert hasattr(drt, name), name
 
 
+def test_star_import_binds_exactly_the_public_api():
+    # no submodule and no `annotations` flag; test_public_api rules out a
+    # name listed twice
+    ns: dict = {}
+    exec("from drt import *", ns)
+    del ns["__builtins__"]
+    assert sorted(ns) == PUBLIC_API
+
+
 def test_sources_parse_at_the_declared_python_floor():
     # a regex, not tomllib: the floor itself (3.10) has no tomllib
     pyproject = (ROOT / "pyproject.toml").read_text()

@@ -585,6 +585,23 @@ def test_discrepancy_bounds_past_dp_cap_uses_local_search(capsys, tmp_path):
     assert res["sigma_gap"]["holds"] and res["theorem"]["holds"]
 
 
+def test_discrepancy_bounds_states_the_paper_bound_at_paley_2399(capsys, tmp_path):
+    # n = 2,394 is the first order where the paper's bound says more than
+    # C(T) <= binom(n, 2), and 2,399 is the first Paley order past it
+    dpath, tpath = tmp_path / "d.txt", tmp_path / "t.txt"
+    assert main(["diffset", "paley", "--p", "2399", "-o", str(dpath)]) == 0
+    assert main(["tourney", "cayley", str(dpath), "-o", str(tpath)]) == 0
+    code, rep = report_of(capsys, ["discrepancy", "bounds", str(tpath)])
+    assert code == 0
+    res = rep["results"]
+    assert res["c_method"] == "local-search"
+    assert res["c_value"] == 1_508_971
+    theorem = res["theorem"]
+    assert not theorem["vacuous"] and theorem["holds"]
+    assert theorem["rhs"] < 2399 * 2398 // 2 == 2_876_401
+    assert res["sigma_gap"]["holds"]
+
+
 def test_classify_cli(capsys, tmp_path):
     paths = []
     for i, indices in enumerate(["1 2 4", "3 5 6", "1 2 3"]):
