@@ -42,7 +42,6 @@ from .groups import (
     FiniteField,
     format_group_spec,
     make_field,
-    make_group,
     nonzero_squares,
     parse_group_spec,
 )

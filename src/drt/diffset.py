@@ -43,8 +43,8 @@ class CandidateSet:
     """A subset of a group's nonidentity elements, proposed as a difference set.
 
     Construction only enforces canonical membership.  Degenerate sets (for
-    example ones containing 0, which arise as translates during equivalence
-    search) are representable; they simply fail `is_skew` / `is_shds`.
+    example ones containing 0) are representable; they simply fail `is_skew`
+    / `is_shds`.
     """
 
     group: AbelianGroup

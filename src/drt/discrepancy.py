@@ -61,12 +61,11 @@ def check_mixing(t: Tournament, a_mask: int, b_mask: int) -> MixingCheck:
     A and B must be disjoint; an empty side makes the bound degenerate and the
     check reports (0, True).
     """
-    _check_mask(t, a_mask, "A")
-    _check_mask(t, b_mask, "B")
+    d = edge_count(t, a_mask, b_mask)  # refuses a bad A, then a bad B
     overlap = a_mask & b_mask
     if overlap:
         raise ValueError(f"A and B overlap in vertices {mask_vertices(overlap)}")
-    d = edge_count(t, a_mask, b_mask) - edge_count(t, b_mask, a_mask)
+    d -= edge_count(t, b_mask, a_mask)
     holds = d <= 0 or d * d <= t.n * a_mask.bit_count() * b_mask.bit_count()
     return MixingCheck(d, holds)
 
@@ -111,8 +110,7 @@ def exhaustive_mixing_check(t: Tournament) -> MixingReport:
     The sets A with c vertices outside them form one batch, in ascending
     order, and `_sweep_batch` checks every B inside each A's complement.
     Column g of a batch holds the B made of the complement positions (taken
-    ascending) at the set bits of g, so g -> B preserves order and the
-    smallest row and column of a tie are its smallest (A, B).
+    ascending) at the set bits of g.
     """
     n = t.n
     if n > SWEEP_CAP:
@@ -121,12 +119,11 @@ def exhaustive_mixing_check(t: Tournament) -> MixingReport:
             f" got n = {n}; use sampled_mixing_check instead"
         )
     col = _subset_sums(_signed(t))  # |col| <= n - 1 <= 15
-    masks = np.arange(1 << n, dtype=np.uint16)
-    sizes = np.bitwise_count(masks)
+    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint16))
     violations = 0
     best: _Best = (0, 1, None)
     for c in range(1, n):
-        batch_violations, best = _sweep_batch(col, masks, sizes, c, best)
+        batch_violations, best = _sweep_batch(col, sizes, c, best)
         violations += batch_violations
     return MixingReport("exhaustive", 3**n - 2 ** (n + 1) + 1, violations, *best)
 
@@ -142,12 +139,12 @@ def _subset_sums(x: np.ndarray) -> np.ndarray:
 
 
 def _sweep_batch(
-    col: np.ndarray, masks: np.ndarray, sizes: np.ndarray, c: int, best: _Best
+    col: np.ndarray, sizes: np.ndarray, c: int, best: _Best
 ) -> tuple[int, _Best]:
     """Violations among the pairs (A, B) with c vertices outside A and B
     inside A's complement, and the running best after it meets them.
 
-    `masks` and `sizes` hold every vertex mask and its popcount.  An A's
+    `sizes` holds the popcount of every vertex mask, at that mask.  An A's
     col entries at its c complement positions split into the first c // 2
     and the rest, and the subset sums of each part (`_subset_sums`) form a
     half table, so d(A, B) = e(A,B) - e(B,A) at column
@@ -161,13 +158,13 @@ def _sweep_batch(
     slice den = n |A| |B| depends on the column alone, and for integer d,
     d_+^2 > den iff d > isqrt(den), which counts the violations.  As n |A|
     is fixed in the batch, d_+^2 / den is largest in the columns where the
-    integer d_+^2 * (lcm(1..c) / |B|) is; in those the first row attaining
-    the column maximum has the smallest A, and the first such column the
-    smallest B.  That pair meets the running best as in
-    `sampled_mixing_check`, unless the slice's maximum is already below it.
+    integer d_+^2 * (lcm(1..c) / |B|) is.  In each of those the first row
+    attaining the column maximum has the smallest A, and that pair meets the
+    running best through `_fold_best` with the column's own d_+^2 and den,
+    unless the slice's maximum is already below the running best.
     """
     n = col.shape[1]
-    a_masks = masks[sizes == n - c]
+    a_masks = np.flatnonzero(sizes == n - c).astype(np.uint16)
     b_sizes = sizes[1 : 1 << c]  # |B| of columns 1 .. 2^c - 1
     # Row i: each A's col entry at its i-th complement position, ascending.
     bits = np.uint16(1) << np.arange(n, dtype=np.uint16)
@@ -201,12 +198,12 @@ def _sweep_batch(
         if num * best[1] < best[0] * den:
             continue  # no pair of this slice can become the worst pair
         first = (np.maximum(d[:, cols], 0) == top[cols]).argmax(axis=0)
-        k = int(np.argmin(first))
-        a, g = int(a_masks[lo + int(first[k])]), int(cols[k]) + 1
-        comp = [v for v in range(n) if not (a >> v) & 1]
-        b = vertex_mask(comp[i] for i in range(c) if (g >> i) & 1)
-        num, den = int(top[g - 1]) ** 2, n * (n - c) * int(b_sizes[g - 1])
-        best = _fold_best(best, num, den, (a, b))
+        for r, g in zip(first.tolist(), (cols + 1).tolist()):
+            a = int(a_masks[lo + r])
+            comp = [v for v in range(n) if not (a >> v) & 1]
+            b = vertex_mask(comp[i] for i in range(c) if (g >> i) & 1)
+            num, den = int(top[g - 1]) ** 2, n * (n - c) * int(b_sizes[g - 1])
+            best = _fold_best(best, num, den, (a, b))
     return violations, best
 
 
@@ -214,7 +211,11 @@ def _fold_best(best: _Best, num: int, den: int, pair: tuple[int, int]) -> _Best:
     """The running best (num, den, pair) after it meets one candidate.
 
     The larger exact fraction wins, by integer cross-multiplication; on a tie
-    the smaller (A, B) bitmask pair does.
+    the smaller (A, B) bitmask pair does.  The sweep settles its ties here,
+    one candidate per tied column.  The sampler's lexsort picks the same
+    pair among a chunk's tied rows in one vectorised step: a chunk at tiny n
+    can hold thousands of tied rows, and folding each of them here took a
+    10^6-sample check at n = 3 from 0.1 s to 1.7 s on one core.
     """
     best_num, best_den, best_pair = best
     if best_pair is not None:

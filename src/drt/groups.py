@@ -31,7 +31,11 @@ ORDER_CAP = 2**16
 
 @dataclass(frozen=True)
 class AbelianGroup:
-    """Z_{m1} x ... x Z_{mk}; elements are tuples (x1, ..., xk), 0 <= xi < mi."""
+    """Z_{m1} x ... x Z_{mk}; elements are tuples (x1, ..., xk), 0 <= xi < mi.
+
+    `moduli` may be any iterable of integers, numpy integers included, and is
+    stored as a tuple of ints; a float or a string is refused with TypeError.
+    """
 
     moduli: tuple[int, ...]
 
@@ -99,12 +103,6 @@ class AbelianGroup:
 
     def __str__(self) -> str:
         return format_group_spec(self.moduli)
-
-
-def make_group(moduli) -> AbelianGroup:
-    """AbelianGroup from any iterable of integer moduli (numpy integers too);
-    `AbelianGroup` refuses a float or a string with TypeError."""
-    return AbelianGroup(tuple(moduli))
 
 
 def _check_order(modulus: int, power: int, what: str, order: int = 1) -> int:

@@ -334,7 +334,7 @@ def heuristic_rank(t: Tournament, strategy: str = "local-search") -> RankingResu
     (S = M - M^T).  Moving v from position i to j < i gains table[j, v] -
     table[i, v], to j > i table[j+1, v] - table[i, v] (S[v, v] = 0): v's column
     lists its moves by target, so the first argmax over vertices, then rows,
-    is the old tie-break.  A move rotates order[lo..hi] and changes only rows
+    is that tie-break.  A move rotates order[lo..hi] and changes only rows
     lo+1..hi (to old rows lo..hi-1 plus S[v], or lo+2..hi+1 minus S[v]).
     `work` counts n(n-1) moves for every pass, including the last.  The start
     scores at least binom(n,2)/2 and each move gains at least one, so more

@@ -36,7 +36,7 @@ from drt.discrepancy import (
     sampled_mixing_check,
     vertex_mask,
 )
-from drt.groups import make_field, make_group
+from drt.groups import AbelianGroup, make_field
 from drt.ranking import (
     _dp_cut,
     _dp_layers,
@@ -85,7 +85,7 @@ def test_criterion_1_construction_pipelines_pass_in_under_5s():
 
 
 def test_criterion_2_skew_3_subsets_of_z7_exhaustive():
-    z7 = make_group((7,))
+    z7 = AbelianGroup((7,))
     skew_count = rejected = 0
     for combo in itertools.combinations(range(1, 7), 3):
         d = candidate_from_indices(z7, combo)
@@ -184,7 +184,7 @@ def test_criterion_6_gap_and_ceiling_bounds_on_all_dp_sized_fixtures():
 
 
 def test_criterion_7_equivalence_engine():
-    z7 = make_group((7,))
+    z7 = AbelianGroup((7,))
     d = candidate_from_indices(z7, [1, 2, 4])
 
     # every affine image comes back equivalent (6 units x 7 shifts)
@@ -203,7 +203,7 @@ def test_criterion_7_equivalence_engine():
     assert tau.rows == ((3,),) and shift == (0,)
 
     # full enumeration over GL(3,3) x translations inside the budget
-    g27 = make_group((3, 3, 3))
+    g27 = AbelianGroup((3, 3, 3))
     a = candidate_from_indices(g27, [1, 6, 7, 8, 9, 11, 12, 13, 15, 16, 20, 22, 25])
     b = candidate_from_indices(g27, [2, 6, 7, 8, 9, 11, 12, 13, 15, 16, 20, 22, 25])
     started = time.perf_counter()

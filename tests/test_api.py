@@ -48,7 +48,6 @@ PUBLIC_API = [
     "is_shds",
     "is_skew",
     "make_field",
-    "make_group",
     "mask_vertices",
     "nonzero_squares",
     "paley_set",

@@ -25,10 +25,10 @@ from drt.diffset import (
     parse_diffset,
 )
 import drt.diffset
-from drt.groups import make_field, make_group
+from drt.groups import AbelianGroup, make_field
 from drt.verdict import Verdict
 
-Z7 = make_group((7,))
+Z7 = AbelianGroup((7,))
 D7 = candidate_from_indices(Z7, [1, 2, 4])
 
 PALEY_INDICES = {
@@ -103,7 +103,7 @@ def _skew_reason_reference(d: CandidateSet) -> str:
 def _subsets(moduli, rng: random.Random, samples: int):
     """Every subset of a group of order <= 9, else `samples` random ones of
     every size class (empty, small, half, large)."""
-    group = make_group(moduli)
+    group = AbelianGroup(moduli)
     n = group.order
     if n <= 9:
         for bits in range(1 << n):
@@ -159,7 +159,7 @@ def test_is_shds_failure_stages():
     v = is_shds(candidate_from_indices(Z7, [1, 2]))
     assert not v.ok and "size" in v.reason
     # group order not 3 mod 4
-    z5 = make_group((5,))
+    z5 = AbelianGroup((5,))
     v = is_shds(candidate_from_indices(z5, [1, 2]))
     assert not v.ok and "mod 4" in v.reason
 
@@ -199,7 +199,7 @@ def test_cyclic_automorphisms_are_units_ascending():
 def test_composite_cyclic_automorphisms_are_the_units():
     # gcd(u, 15) = 1 keeps exactly the units; 3, 5, 6, 9, 10, 12 are
     # nonzero mod 15 and must still be dropped
-    z15 = make_group((15,))
+    z15 = AbelianGroup((15,))
     auts = list(enumerate_automorphisms(z15))
     assert [a.rows for a in auts] == [((u,),) for u in [1, 2, 4, 7, 8, 11, 13, 14]]
     assert all(a.modulus == 15 for a in auts)
@@ -208,7 +208,7 @@ def test_composite_cyclic_automorphisms_are_the_units():
 
 
 def test_gl_2_3_enumeration():
-    g = make_group((3, 3))
+    g = AbelianGroup((3, 3))
     auts = list(enumerate_automorphisms(g))
     assert len(auts) == automorphism_count(g) == 48
     assert auts[0].rows == ((0, 1), (1, 0))  # first invertible matrix row-lex
@@ -219,12 +219,12 @@ def test_gl_2_3_enumeration():
 
 
 def test_automorphism_count_z3_cubed():
-    assert automorphism_count(make_group((3, 3, 3))) == 11232
+    assert automorphism_count(AbelianGroup((3, 3, 3))) == 11232
 
 
 def test_budget_refusal_names_the_order():
     # the enumeration is lazy, so only a scan over all of GL(3,7) is refused
-    g = make_group((7, 7, 7))
+    g = AbelianGroup((7, 7, 7))
     first = next(enumerate_automorphisms(g))
     assert first.rows == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert automorphism_count(g) == 33784128  # counting alone stays cheap
@@ -241,7 +241,7 @@ def test_first_automorphisms_of_z2_to_the_5_come_at_once():
     started = time.perf_counter()
     first = [
         a.rows
-        for a in itertools.islice(enumerate_automorphisms(make_group((2,) * 5)), 10**5)
+        for a in itertools.islice(enumerate_automorphisms(AbelianGroup((2,) * 5)), 10**5)
     ]
     assert time.perf_counter() - started < 5
     assert len(first) == 10**5
@@ -250,7 +250,7 @@ def test_first_automorphisms_of_z2_to_the_5_come_at_once():
 
 @pytest.mark.parametrize("moduli", [(4, 4), (2, 4), (9, 3)], ids=str)
 def test_unsupported_shapes_refused_at_the_call(moduli):
-    group = make_group(moduli)
+    group = AbelianGroup(moduli)
     d = candidate_from_indices(group, [1, 2]).elements
     match = "supports only cyclic or elementary abelian groups"
     with pytest.raises(ValueError, match=match):
@@ -292,7 +292,7 @@ def test_inequivalent_pair():
 
 
 def test_equivalence_rejects_mixed_groups():
-    other = candidate_from_indices(make_group((11,)), [1, 3, 4, 5, 9])
+    other = candidate_from_indices(AbelianGroup((11,)), [1, 3, 4, 5, 9])
     with pytest.raises(ValueError):
         are_equivalent(D7, other)
 
@@ -302,7 +302,7 @@ def test_classify_refuses_mixed_groups_before_any_search(monkeypatch):
         raise AssertionError("classify searched before it checked the groups")
 
     monkeypatch.setattr("drt.diffset.are_equivalent", search)
-    other = candidate_from_indices(make_group((11,)), [1, 3, 4, 5, 9])
+    other = candidate_from_indices(AbelianGroup((11,)), [1, 3, 4, 5, 9])
     with pytest.raises(ValueError, match=r"all sets must share one group, got \['Z11', 'Z7'\]"):
         classify([D7, D7, other])
 
@@ -331,7 +331,7 @@ def test_classify_separates_orbits():
     shift=st.integers(min_value=0, max_value=10),
 )
 def test_affine_images_are_always_equivalent(data, unit, shift):
-    z11 = make_group((11,))
+    z11 = AbelianGroup((11,))
     size = data.draw(st.integers(min_value=1, max_value=5))
     base = data.draw(
         st.lists(
@@ -408,7 +408,7 @@ def _witness_cases(moduli):
     """Seeded (target, source) pairs at sizes 0, 1, |G| // 2 and |G|: one
     unrelated pair and one affine image per size, plus one pair of unequal
     sizes."""
-    group = make_group(moduli)
+    group = AbelianGroup(moduli)
     n = group.order
     rng = random.Random(f"witness{moduli}")
     auts = list(_automorphisms_reference(group))
@@ -443,7 +443,7 @@ def test_witness_matches_table_engine_on_all_3_subsets_of_z7():
 
 @pytest.mark.parametrize("moduli", WITNESS_GROUPS, ids=str)
 def test_witness_matches_table_engine(moduli):
-    group = make_group(moduli)
+    group = AbelianGroup(moduli)
     outcomes = set()
     for target, source in _witness_cases(moduli):
         want = _witness_reference(group, target, source)
@@ -460,7 +460,7 @@ def test_witness_matches_table_engine(moduli):
 def test_automorphisms_match_eliminated_determinant(moduli):
     # against the reference that keeps every matrix whose determinant,
     # found by elimination, is a unit
-    group = make_group(moduli)
+    group = AbelianGroup(moduli)
     got = [a.rows for a in enumerate_automorphisms(group)]
     assert got == list(_automorphisms_reference(group))
     assert len(got) == automorphism_count(group)
@@ -468,7 +468,7 @@ def test_automorphisms_match_eliminated_determinant(moduli):
 
 @pytest.mark.parametrize("moduli", [(3, 3), (15,)], ids=str)
 def test_unequal_sizes_answer_none(moduli):
-    group = make_group(moduli)
+    group = AbelianGroup(moduli)
     small = candidate_from_indices(group, [0, 1]).elements
     large = candidate_from_indices(group, [0, 1, 2]).elements
     assert affine_witness(group, small, large) is None
@@ -479,7 +479,7 @@ def test_unequal_sizes_answer_none(moduli):
 def test_oversized_group_refused_before_anything_is_built(sizes):
     # |GL(3,7)| * 343 maps is above the scan cap; an n x n table would be
     # 343^2 entries
-    group = make_group((7, 7, 7))
+    group = AbelianGroup((7, 7, 7))
     target, source = (
         candidate_from_indices(group, range(1, 1 + size)).elements for size in sizes
     )
@@ -498,7 +498,7 @@ def test_witness_is_the_same_across_slices(monkeypatch, entries):
     # One translation per slice, or a few, so a match can sit past the
     # first slice and a miss must run through every one.
     cases = [
-        (make_group(moduli), target, source)
+        (AbelianGroup(moduli), target, source)
         for moduli in [(15,), (3, 3), (2, 2, 2)]
         for target, source in _witness_cases(moduli)
     ]
@@ -538,7 +538,7 @@ def test_scan_past_the_cap_is_refused_at_once():
 
 
 def test_classify_searches_each_set_against_class_representatives(monkeypatch):
-    z13 = make_group((13,))
+    z13 = AbelianGroup((13,))
     a, b = [0, 1, 2, 3, 6], [0, 1, 2, 3, 7]
 
     def image(unit, shift, s):

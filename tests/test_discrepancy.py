@@ -99,6 +99,23 @@ def test_edge_count_rejects_overlap_and_junk(t7):
 # --------------------------------------------------------------- check_mixing
 
 
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        (1 << 7, 1, "A has bits outside vertices 0..6"),
+        (1, -1, "B has bits outside vertices 0..6"),
+        (-1, 1 << 9, "A has bits outside vertices 0..6"),  # both bad, overlapping
+        (0b111 | 1 << 7, 0b110, "A has bits outside vertices 0..6"),
+        (0b111, 0b110 | 1 << 8, "B has bits outside vertices 0..6"),
+        (0b111, 0b110, "A and B overlap in vertices [1, 2]"),
+    ],
+)
+def test_check_mixing_refuses_a_then_b_then_overlap(t7, a, b, message):
+    with pytest.raises(ValueError) as err:
+        check_mixing(t7, a, b)
+    assert str(err.value) == message
+
+
 def test_mixing_trivial_cases(t7, transitive8):
     assert check_mixing(t7, 0, vertex_mask([1])) == (0, True)
     assert check_mixing(t7, vertex_mask([1]), 0) == (0, True)
@@ -496,6 +513,16 @@ def test_sampled_peak_is_a_few_buffers(p, k):
 def test_sample_cap_keeps_float32_exact():
     # Partial sums of d reach |A||B| <= n^2/4.
     assert SAMPLE_CAP**2 // 4 <= _F32_EXACT
+
+
+def test_sample_cap_keeps_int64_compares_exact():
+    # `_rows_at_max` multiplies d_+^2 <= floor(n^2/4)^2 by n |A| |B| <=
+    # n floor(n^2/4); the product stays below 2^63 through n = 927.
+    def largest(n):
+        return (n * n // 4) ** 2 * n * (n * n // 4)
+
+    assert largest(SAMPLE_CAP) < 2**63
+    assert next(n for n in itertools.count(1) if largest(n) >= 2**63) == 928
 
 
 def test_order_cap_keeps_gram_float32_exact():

@@ -16,7 +16,7 @@ from drt.diffset import (
     is_skew,
     paley_set,
 )
-from drt.groups import make_field, make_group
+from drt.groups import AbelianGroup, make_field
 from drt.ranking import exact_max_consistent
 from drt.rng import SplitMix64
 import drt.tourney
@@ -37,7 +37,7 @@ from drt.verdict import Verdict
 
 from conftest import common_in_neighbors, is_isomorphic_small, rotational, transitive
 
-Z7 = make_group((7,))
+Z7 = AbelianGroup((7,))
 
 
 def cycle3() -> Tournament:
@@ -128,7 +128,7 @@ def test_cayley_rejects_non_skew_sets():
     ],
 )
 def test_cayley_names_the_skew_failure(moduli, indices, reason):
-    d = candidate_from_indices(make_group(moduli), indices)
+    d = candidate_from_indices(AbelianGroup(moduli), indices)
     assert is_skew(d) == Verdict(False, reason)
     with pytest.raises(ValueError) as exc:
         cayley_tournament(d)
@@ -169,7 +169,7 @@ def _cayley_rows_reference(d) -> tuple[int, ...]:
 
 def _greedy_skew_set(moduli) -> CandidateSet:
     """The first of each pair {x, -x} in index order: skew in any odd group."""
-    group = make_group(moduli)
+    group = AbelianGroup(moduli)
     chosen: set = set()
     for x in list(group.elements())[1:]:
         if group.neg(x) not in chosen:
