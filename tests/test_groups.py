@@ -23,7 +23,7 @@ def test_abelian_group_is_where_moduli_are_checked():
     for bad in [(), (7, 1), (1,), (0,)]:
         with pytest.raises(ValueError):
             AbelianGroup(bad)
-    for bad in ([7.9], [7.0], ["3"]):  # AbelianGroup coerces nothing
+    for bad in ([7.9], [7.0], ["3"]):  # refused, not truncated or parsed
         with pytest.raises(TypeError):
             AbelianGroup(bad)
 
