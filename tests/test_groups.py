@@ -19,6 +19,16 @@ from drt.groups import (
 )
 
 
+def test_make_group_rejects_bad_moduli():
+    # the inputs the former make_group refused; AbelianGroup now owns them
+    with pytest.raises(ValueError):
+        AbelianGroup(())
+    with pytest.raises(ValueError):
+        AbelianGroup((7, 1))
+    with pytest.raises(ValueError):
+        AbelianGroup((0,))
+
+
 def test_abelian_group_is_where_moduli_are_checked():
     for bad in [(), (7, 1), (1,), (0,)]:
         with pytest.raises(ValueError):
