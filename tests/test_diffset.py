@@ -218,6 +218,15 @@ def test_gl_2_3_enumeration():
         assert len(images) == g.order
 
 
+@pytest.mark.parametrize("x", [(1,), (1, 2, 0)])
+def test_apply_refuses_an_element_of_the_wrong_length(x):
+    tau = next(enumerate_automorphisms(AbelianGroup((3, 3))))
+    # reading only the coordinates there are gave (0, 1) for (1,)
+    with pytest.raises(ValueError) as refused:
+        tau.apply(x)
+    assert str(refused.value) == f"{x!r} does not have k = 2 coordinates"
+
+
 def test_automorphism_count_z3_cubed():
     assert automorphism_count(AbelianGroup((3, 3, 3))) == 11232
 
@@ -493,19 +502,49 @@ def test_oversized_group_refused_before_anything_is_built(sizes):
     assert peak < 64 * 1024, peak
 
 
-@pytest.mark.parametrize("entries", [1, 7])
-def test_witness_is_the_same_across_slices(monkeypatch, entries):
-    # One translation per slice, or a few, so a match can sit past the
-    # first slice and a miss must run through every one.
-    cases = [
-        (AbelianGroup(moduli), target, source)
-        for moduli in [(15,), (3, 3), (2, 2, 2)]
-        for target, source in _witness_cases(moduli)
-    ]
-    want = [_witness(*case) for case in cases]
-    monkeypatch.setattr(drt.diffset, "_WITNESS_SLICE_ENTRIES", entries)
-    assert [_witness(*case) for case in cases] == want
-    assert any(w is not None and w[1] != (0,) * len(w[1]) for w in want)
+@pytest.mark.parametrize(
+    "moduli, size",
+    [((15,), s) for s in (3, 5, 6, 9, 10, 12)]
+    + [((2, 2, 2), s) for s in (2, 4, 6)]
+    + [((3, 3), s) for s in (3, 6)],
+    ids=str,
+)
+def test_witness_matches_table_engine_where_sums_leave_several_translations(
+    moduli, size
+):
+    # |D| g = v has several solutions g when |D| shares a factor with the
+    # exponent, so the scan must keep the first that works, not the first
+    # that solves the sum equation
+    group = AbelianGroup(moduli)
+    n, m = group.order, moduli[0]
+    assert sum(all(size * x % m == 0 for x in g) for g in group.elements()) > 1
+    rng = random.Random(f"several{moduli}{size}")
+    auts = list(_automorphisms_reference(group))
+    found = []
+    for _ in range(3):
+        source = candidate_from_indices(group, rng.sample(range(n), size)).elements
+        rows, g = rng.choice(auts), group.element(rng.randrange(n))
+        image = frozenset(group.add(_times(rows, x, m), g) for x in source)
+        other = candidate_from_indices(group, rng.sample(range(n), size)).elements
+        for target in (image, other):
+            want = _witness_reference(group, target, source)
+            assert _witness(group, target, source) == want, (target, source)
+            found.append(want)
+    assert any(w is not None and any(w[1]) for w in found)
+
+
+def test_witness_matches_table_engine_on_a_subgroup_of_z3_cubed():
+    # 9 g = 0 for every g and all three sets sum to 0, so each automorphism
+    # tries all 27 translations of the plane x0 = 0
+    group = AbelianGroup((3, 3, 3))
+    plane = candidate_from_indices(group, range(9)).elements
+    rows = ((1, 1, 0), (0, 1, 0), (2, 0, 1))
+    image = frozenset(group.add(_times(rows, x, 3), (1, 2, 0)) for x in plane)
+    equal_sum = candidate_from_indices(group, [0, 1, 2, 3, 4, 5, 9, 10, 11]).elements
+    cases = [(image, plane), (plane, image), (equal_sum, plane)]
+    got = [_witness(group, target, source) for target, source in cases]
+    assert got == [_witness_reference(group, *case) for case in cases]
+    assert [w is None for w in got] == [False, False, True]
 
 
 def test_full_scan_on_z503_stays_small():
@@ -520,6 +559,26 @@ def test_full_scan_on_z503_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_full_scan_on_z1019_is_quick_and_small():
+    # no unit maps the changed copy onto a translate of the Paley set, so all
+    # 1,018 automorphisms are tried; moving each image by every translation,
+    # not only by the one its sum allows, took 2.6 s and peaked at 1.5 MiB
+    d = paley_set(make_field(1019, 1))
+    members = list(d.indices)
+    outside = next(i for i in range(1, 1019) if i not in d.indices)
+    other = candidate_from_indices(d.group, members[:-1] + [outside])
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        assert affine_witness(d.group, d.elements, other.elements) is None
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1, f"{elapsed:.2f} s"
+    assert peak < 2**19, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_scan_past_the_cap_is_refused_at_once():
